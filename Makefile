@@ -14,7 +14,10 @@ GO ?= go
 	arena paths bench bench-json bench-pairs figures metrics serve smoke-serve \
 	chaos chaos-replay converge walsoak clean
 
+# The benchmark is a module of its own (e2ebench/go.mod), so its tests run
+# from its directory.
 check: vet build test race
+	cd e2ebench && $(GO) test ./...
 
 check-deep: check
 	$(GO) test -race -shuffle=on ./...

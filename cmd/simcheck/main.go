@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	simcheck [-prop all|lockstep|neutrality|metrics|fused|hwpfneutral|sampling|merge|lfu|converge|pathtruth] [-n 20] [-seed 1]
+//	simcheck [-prop all|lockstep|neutrality|metrics|fused|hwpfneutral|lanes|sampling|merge|lfu|converge|pathtruth] [-n 20] [-seed 1]
 //	         [-funcs N] [-blocks N] [-trip N] [-depth N] [-no-reduce]
 //
 // Exit status is 1 when any property fails, so the command slots into CI
@@ -40,6 +40,7 @@ func properties() []property {
 		{"metrics", simcheck.CheckMetricsNeutrality, true},
 		{"fused", simcheck.CheckFusedDifferential, true},
 		{"hwpfneutral", simcheck.CheckHWPFNeutrality, true},
+		{"lanes", simcheck.CheckLanes, true},
 		{"sampling", func(seed uint64, _ irgen.Config) error {
 			return simcheck.CheckSamplingInvariance(seed)
 		}, false},
@@ -65,7 +66,7 @@ func run(argv []string, out io.Writer) error {
 	fs := flag.NewFlagSet("simcheck", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		propFlag = fs.String("prop", "all", "property to check: all, lockstep, neutrality, metrics, fused, hwpfneutral, sampling, merge, lfu, converge, pathtruth")
+		propFlag = fs.String("prop", "all", "property to check: all, lockstep, neutrality, metrics, fused, hwpfneutral, lanes, sampling, merge, lfu, converge, pathtruth")
 		nFlag    = fs.Int("n", 20, "number of consecutive seeds per property")
 		seedFlag = fs.Uint64("seed", 1, "first seed")
 		funcs    = fs.Int("funcs", 0, "irgen MaxFuncs bound (0 = default)")

@@ -16,6 +16,7 @@ package core
 import (
 	"fmt"
 
+	"stridepf/internal/cache"
 	"stridepf/internal/hwpf"
 	"stridepf/internal/instrument"
 	"stridepf/internal/ir"
@@ -75,6 +76,10 @@ type RunStats struct {
 	// run, when it implemented hwpf.Prefetcher (empty and zero otherwise).
 	HWPFScheme string
 	HWPF       hwpf.Counters
+	// Lanes holds one run per machine.Config.Lanes entry, in order: the
+	// same execution seen through that lane's memory system, equal to a
+	// standalone run of its configuration. A lane run's own Lanes is nil.
+	Lanes []RunStats
 }
 
 // Execute runs prog against the given workload input and returns its stats.
@@ -91,25 +96,34 @@ func Execute(prog *ir.Program, w Workload, in Input, mcfg machine.Config) (RunSt
 	if err != nil {
 		return RunStats{}, fmt.Errorf("core: %s/%s: %w", w.Name(), in.Name, err)
 	}
-	if mcfg.Obs != nil {
-		// Close the effectiveness accounting (resident-unused and
-		// still-in-flight prefetches) so the collector reconciles.
-		m.FinishObs()
-	}
+	// Close the effectiveness accounting (resident-unused and
+	// still-in-flight prefetches) so every attached collector reconciles;
+	// hierarchies without one are skipped.
+	m.FinishObs()
 	return snapshot(m, ret), nil
 }
 
 func snapshot(m *machine.Machine, ret int64) RunStats {
+	rs := runStats(m.Stats(), m.Hier, m.HWPrefetch(), m.LoadCounts(), ret)
+	for _, l := range m.Lanes() {
+		rs.Lanes = append(rs.Lanes, runStats(l.Stats, l.Hier, l.HWPrefetch, rs.LoadCounts, ret))
+	}
+	return rs
+}
+
+// runStats assembles one memory system's view of an execution; lanes share
+// the primary's per-load counts.
+func runStats(st machine.Stats, h *cache.Hierarchy, pf machine.HWPrefetcher, counts map[machine.LoadKey]uint64, ret int64) RunStats {
 	rs := RunStats{
-		Stats:            m.Stats(),
-		DemandMissCycles: m.Hier.DemandMissCycles,
-		PrefetchUseful:   m.Hier.PrefetchUseful,
-		PrefetchLate:     m.Hier.PrefetchLate,
-		PrefetchDrops:    m.Hier.PrefetchDrops,
-		LoadCounts:       m.LoadCounts(),
+		Stats:            st,
+		DemandMissCycles: h.DemandMissCycles,
+		PrefetchUseful:   h.PrefetchUseful,
+		PrefetchLate:     h.PrefetchLate,
+		PrefetchDrops:    h.PrefetchDrops,
+		LoadCounts:       counts,
 		Ret:              ret,
 	}
-	if p, ok := m.HWPrefetch().(hwpf.Prefetcher); ok {
+	if p, ok := pf.(hwpf.Prefetcher); ok {
 		rs.HWPFScheme = p.Name()
 		rs.HWPF = p.Counters()
 	}

@@ -53,16 +53,6 @@ func smallHierarchy() cache.HierarchyConfig {
 	}
 }
 
-// arenaHierarchy resolves a cache-config label.
-func arenaHierarchy(name string) (cache.HierarchyConfig, error) {
-	for _, h := range ArenaHierarchies() {
-		if h.Name == name {
-			return h.Config, nil
-		}
-	}
-	return cache.HierarchyConfig{}, fmt.Errorf("experiments: unknown arena cache config %q", name)
-}
-
 // ArenaCell is one scheme × workload × cache-config measurement.
 type ArenaCell struct {
 	// Speedup is baseline cycles over prefetched cycles for the cell's
@@ -81,101 +71,116 @@ type ArenaCell struct {
 	Run core.RunStats
 }
 
-// arenaBase returns the memoised no-prefetcher baseline run of the
-// workload's clean binary on the reference input under the named cache
-// config.
-func (s *Session) arenaBase(ctx context.Context, wname, hierName string) (core.RunStats, error) {
-	key := "arenabase|" + wname + "|" + hierName
-	v, err := s.do(ctx, key,
-		func() (any, bool) { st, ok := s.arenaRef[key]; return st, ok },
-		func(v any) { s.arenaRef[key] = v.(core.RunStats) },
-		func() (any, error) {
-			w, err := s.workload(wname)
-			if err != nil {
-				return nil, err
-			}
-			hier, err := arenaHierarchy(hierName)
-			if err != nil {
-				return nil, err
-			}
-			mcfg := s.mcfg(ctx)
-			mcfg.Hierarchy = hier
-			mcfg.NewHWPrefetch = nil
-			st, err := core.Execute(w.Program(), w, w.Ref(), mcfg)
-			return st, ctxErr(ctx, err)
-		})
-	if err != nil {
-		return core.RunStats{}, err
-	}
-	return v.(core.RunStats), nil
-}
+// arenaCells is one workload's arena row, keyed "hierarchy|scheme".
+type arenaCells map[string]*ArenaCell
 
-// ArenaCell returns the memoised arena measurement of one scheme on one
-// workload under one cache config. The scheme run must return the same
-// value as the baseline (a prefetcher that corrupts architectural state is
-// an error, not a slow scheme) and its collector must reconcile.
-func (s *Session) ArenaCell(ctx context.Context, wname, hierName, scheme string) (*ArenaCell, error) {
-	key := "arena|" + wname + "|" + hierName + "|" + scheme
+// arenaRow returns the memoised arena row of the workload. The whole row
+// comes from one execution of the clean binary on the reference input: the
+// first arena hierarchy without a prefetcher is the machine's primary
+// memory system, and every other configuration rides along as a
+// machine.Lane — the remaining no-prefetcher baselines, then each
+// hierarchy × scheme cell with a fresh prefetcher and its own collector.
+// Each lane's run equals a standalone run of its configuration, so the
+// figure is byte-identical to running every cell on its own machine.
+func (s *Session) arenaRow(ctx context.Context, wname string) (arenaCells, error) {
+	key := "arena|" + wname
 	v, err := s.do(ctx, key,
-		func() (any, bool) { c, ok := s.arenas[key]; return c, ok },
-		func(v any) { s.arenas[key] = v.(*ArenaCell) },
+		func() (any, bool) { r, ok := s.arenas[key]; return r, ok },
+		func(v any) { s.arenas[key] = v.(arenaCells) },
 		func() (any, error) {
 			w, err := s.workload(wname)
 			if err != nil {
 				return nil, err
 			}
-			hier, err := arenaHierarchy(hierName)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := hwpf.NewScheme(scheme, s.cfg.HWPFConfig); err != nil {
-				return nil, err
-			}
-			base, err := s.arenaBase(ctx, wname, hierName)
-			if err != nil {
-				return nil, err
-			}
-			col := obs.NewCollector(s.cfg.Trace.WithRun(key))
+			hiers := ArenaHierarchies()
 			mcfg := s.mcfg(ctx)
-			mcfg.Hierarchy = hier
-			mcfg.Obs = col
+			mcfg.Hierarchy = hiers[0].Config
+			mcfg.HWPrefetch, mcfg.NewHWPrefetch, mcfg.Obs = nil, nil, nil
+			mcfg.Lanes = nil
+			for _, h := range hiers[1:] {
+				mcfg.Lanes = append(mcfg.Lanes, machine.Lane{Hierarchy: h.Config})
+			}
+			type cellLane struct {
+				hier, scheme string
+				col          *obs.Collector
+			}
+			var cells []cellLane
 			hcfg := s.cfg.HWPFConfig
-			mcfg.NewHWPrefetch = func() machine.HWPrefetcher {
-				p, _ := hwpf.NewScheme(scheme, hcfg)
-				return p
+			for _, h := range hiers {
+				for _, scheme := range hwpf.Schemes() {
+					scheme := scheme
+					col := obs.NewCollector(s.cfg.Trace.WithRun(key + "|" + h.Name + "|" + scheme))
+					cells = append(cells, cellLane{hier: h.Name, scheme: scheme, col: col})
+					mcfg.Lanes = append(mcfg.Lanes, machine.Lane{
+						Hierarchy: h.Config,
+						Obs:       col,
+						NewHWPrefetch: func() machine.HWPrefetcher {
+							p, _ := hwpf.NewScheme(scheme, hcfg)
+							return p
+						},
+					})
+				}
 			}
 			run, err := core.Execute(w.Program(), w, w.Ref(), mcfg)
 			if err != nil {
 				return nil, ctxErr(ctx, err)
 			}
-			if run.Ret != base.Ret {
-				return nil, fmt.Errorf("experiments: arena %s/%s: scheme %s corrupted architectural state (%d vs %d)",
-					wname, hierName, scheme, run.Ret, base.Ret)
+			base := map[string]core.RunStats{hiers[0].Name: run}
+			for i, h := range hiers[1:] {
+				base[h.Name] = run.Lanes[i]
 			}
-			if err := col.Reconcile(); err != nil {
-				return nil, fmt.Errorf("experiments: arena %s/%s/%s: %w", wname, hierName, scheme, err)
+			row := make(arenaCells, len(cells))
+			for i, cl := range cells {
+				if err := cl.col.Reconcile(); err != nil {
+					return nil, fmt.Errorf("experiments: arena %s/%s/%s: %w", wname, cl.hier, cl.scheme, err)
+				}
+				if s.cfg.Metrics != nil {
+					rep := obs.BuildReport(key+"|"+cl.hier+"|"+cl.scheme, cl.col)
+					rep.Workload = wname
+					rep.Label = "arena|" + cl.hier + "|" + cl.scheme
+					s.cfg.Metrics.Register(rep)
+				}
+				cr := run.Lanes[len(hiers)-1+i]
+				hw := cl.col.Classes[obs.ClassHW]
+				row[cl.hier+"|"+cl.scheme] = &ArenaCell{
+					Speedup:         float64(base[cl.hier].Stats.Cycles) / float64(cr.Stats.Cycles),
+					Accuracy:        hw.Accuracy(),
+					Coverage:        cl.col.ClassCoverage(obs.ClassHW),
+					Timeliness:      hw.Timeliness(),
+					Stats:           hw,
+					UncoveredMisses: cl.col.UncoveredMisses,
+					Run:             cr,
+				}
 			}
-			if s.cfg.Metrics != nil {
-				rep := obs.BuildReport(key, col)
-				rep.Workload = wname
-				rep.Label = "arena|" + hierName + "|" + scheme
-				s.cfg.Metrics.Register(rep)
-			}
-			hw := col.Classes[obs.ClassHW]
-			return &ArenaCell{
-				Speedup:         float64(base.Stats.Cycles) / float64(run.Stats.Cycles),
-				Accuracy:        hw.Accuracy(),
-				Coverage:        col.ClassCoverage(obs.ClassHW),
-				Timeliness:      hw.Timeliness(),
-				Stats:           hw,
-				UncoveredMisses: col.UncoveredMisses,
-				Run:             run,
-			}, nil
+			return row, nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*ArenaCell), nil
+	return v.(arenaCells), nil
+}
+
+// ArenaCell returns the arena measurement of one scheme on one workload
+// under one cache config, read from the workload's memoised row (see
+// arenaRow). A prefetcher only sees its lane's cache hierarchy, so every
+// cell shares the baseline's architectural result by construction; its
+// collector must still reconcile.
+func (s *Session) ArenaCell(ctx context.Context, wname, hierName, scheme string) (*ArenaCell, error) {
+	known := false
+	for _, h := range ArenaHierarchies() {
+		known = known || h.Name == hierName
+	}
+	if !known {
+		return nil, fmt.Errorf("experiments: unknown arena cache config %q", hierName)
+	}
+	if _, err := hwpf.NewScheme(scheme, s.cfg.HWPFConfig); err != nil {
+		return nil, err
+	}
+	row, err := s.arenaRow(ctx, wname)
+	if err != nil {
+		return nil, err
+	}
+	return row[hierName+"|"+scheme], nil
 }
 
 // Arena assembles the cross-product figure: one row per workload × cache

@@ -123,12 +123,11 @@ type Session struct {
 	mu       sync.Mutex
 	inflight map[string]*flight
 
-	profiles map[string]*core.ProfileRun
-	cleans   map[string]core.RunStats
-	speedups map[string]*speedupEntry
+	profiles   map[string]*core.ProfileRun
+	cleans     map[string]core.RunStats
+	speedups   map[string]*speedupEntry
 	classes    map[string]*classBuckets
-	arenas     map[string]*ArenaCell
-	arenaRef   map[string]core.RunStats
+	arenas     map[string]arenaCells
 	pathsCells map[string]*PathsCell
 }
 
@@ -149,14 +148,13 @@ type flight struct {
 // NewSession returns an empty session.
 func NewSession(cfg Config) *Session {
 	s := &Session{
-		cfg:      cfg,
-		inflight: make(map[string]*flight),
-		profiles: make(map[string]*core.ProfileRun),
-		cleans:   make(map[string]core.RunStats),
-		speedups: make(map[string]*speedupEntry),
-		classes:  make(map[string]*classBuckets),
-		arenas:     make(map[string]*ArenaCell),
-		arenaRef:   make(map[string]core.RunStats),
+		cfg:        cfg,
+		inflight:   make(map[string]*flight),
+		profiles:   make(map[string]*core.ProfileRun),
+		cleans:     make(map[string]core.RunStats),
+		speedups:   make(map[string]*speedupEntry),
+		classes:    make(map[string]*classBuckets),
+		arenas:     make(map[string]arenaCells),
 		pathsCells: make(map[string]*PathsCell),
 	}
 	if cfg.HWPF != "" {
@@ -435,14 +433,10 @@ func (s *Session) warmTasks(ctx context.Context, figs map[string]bool) []func() 
 		// The arena is opt-in only: it is not part of the paper's figure
 		// set, so the empty-figs "warm everything" default must not compute
 		// it (RunAll and `-figure all` stay byte-identical to pre-arena).
+		// One task per workload: a single lane execution computes the
+		// whole arena row (see arenaRow).
 		if figs["arena"] {
-			for _, h := range ArenaHierarchies() {
-				h := h
-				for _, scheme := range hwpf.Schemes() {
-					scheme := scheme
-					tasks = append(tasks, func() { _, _ = s.ArenaCell(ctx, name, h.Name, scheme) })
-				}
-			}
+			tasks = append(tasks, func() { _, _ = s.arenaRow(ctx, name) })
 		}
 		// The paths figure is opt-in for the same reason as the arena.
 		if figs["paths"] {

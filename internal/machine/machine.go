@@ -86,6 +86,10 @@ type Config struct {
 	// predating the field. Observation never changes simulated behavior.
 	// Call FinishObs after the final Run to close the lifecycle accounting.
 	Obs *obs.Collector
+	// Lanes are extra memory systems driven in lockstep with the primary
+	// one above, so one execution yields a run per cache/prefetcher
+	// configuration (see Lane). The program must have no OpHook sites.
+	Lanes []Lane
 	// Interrupt, when non-nil, aborts a running simulation shortly after the
 	// channel becomes readable (typically a context's Done channel): the
 	// step loops poll it every few tens of thousands of instructions and
@@ -269,6 +273,10 @@ type Machine struct {
 	intr <-chan struct{}
 	// pairs caches Config.PairProfile for the reference loop.
 	pairs *PairProfile
+	// pf caches Config.HWPrefetch for the reference loop.
+	pf HWPrefetcher
+	// lanes is the runtime state of Config.Lanes (nil without lanes).
+	lanes []lane
 	// pollMark is the last Instrs>>16 epoch at which the fused loop polled
 	// Interrupt; the reference loop polls on exact 64Ki boundaries instead.
 	pollMark uint64
@@ -337,6 +345,7 @@ func New(prog *ir.Program, opts ...Option) (*Machine, error) {
 		noPf:       cfg.DisablePrefetch,
 		intr:       cfg.Interrupt,
 		pairs:      cfg.PairProfile,
+		pf:         cfg.HWPrefetch,
 	}
 	if cfg.SelfCheck {
 		// Attach the shadows before any memory is touched (the heap and the
@@ -346,6 +355,9 @@ func New(prog *ir.Program, opts ...Option) (*Machine, error) {
 	}
 	if cfg.Obs != nil {
 		m.Hier.EnableObs(cfg.Obs)
+	}
+	for _, l := range cfg.Lanes {
+		m.lanes = append(m.lanes, newLane(l, cfg.SelfCheck))
 	}
 	m.Heap = mem.NewHeap(m.Mem, cfg.HeapBase, cfg.HeapSize)
 	for name, f := range prog.Funcs {
@@ -509,9 +521,16 @@ func (m *Machine) SelfChecked() bool { return m.cfg.SelfCheck }
 // use it to emit trace events through the shared sampled sink.
 func (m *Machine) Obs() *obs.Collector { return m.cfg.Obs }
 
-// FinishObs closes effectiveness accounting at the current cycle (see
-// cache.Hierarchy.FinishObs). Call once, after the final Run.
-func (m *Machine) FinishObs() { m.Hier.FinishObs(m.cycles) }
+// FinishObs closes effectiveness accounting at the current cycle, each
+// lane's at its own clock (see cache.Hierarchy.FinishObs; hierarchies
+// without a collector are skipped). Call once, after the final Run.
+func (m *Machine) FinishObs() {
+	m.Hier.FinishObs(m.cycles)
+	for i := range m.lanes {
+		l := &m.lanes[i]
+		l.hier.FinishObs(m.cycles + l.skew)
+	}
+}
 
 // Now returns the current simulated cycle.
 func (m *Machine) Now() uint64 { return m.cycles }
@@ -543,7 +562,9 @@ func (m *Machine) LoadCounts() map[LoadKey]uint64 {
 // Run executes the program's entry function to completion and returns its
 // return value. Hooks referenced by the program must all be registered by
 // this point: Run fails immediately — before simulating a single
-// instruction — if any OpHook site names an unregistered hook ID.
+// instruction — if any OpHook site names an unregistered hook ID, or with
+// *LaneHookError if lanes are attached and the program has any OpHook
+// site.
 //
 // Under Config.SelfCheck a shadow-model divergence aborts the run: the
 // models panic with a typed divergence value, which Run converts into the
@@ -553,6 +574,11 @@ func (m *Machine) Run() (ret int64, err error) {
 	entry := m.codes[m.prog.Main]
 	if entry == nil {
 		return 0, fmt.Errorf("machine: entry function %q missing", m.prog.Main)
+	}
+	if m.lanes != nil {
+		if e := m.laneHookSite(); e != nil {
+			return 0, e
+		}
 	}
 	if m.hooksDirty {
 		if err := m.resolveHooks(); err != nil {
@@ -577,12 +603,13 @@ func (m *Machine) Run() (ret int64, err error) {
 	// machine: instruction tracing and hardware-prefetcher observation see
 	// individual instructions, the shadow models and the effectiveness
 	// collector want the reference access ordering, and pair profiling
-	// measures the unfused instruction stream by definition. Interrupt
+	// measures the unfused instruction stream by definition; lanes fan
+	// every access out from the reference loop. Interrupt
 	// delivery stays on the fast path — the fused loop polls at basic-block
 	// granularity, which is well inside the "few tens of thousands of
 	// instructions" promptness the Interrupt contract promises.
 	m.fast = m.cfg.Trace == nil && m.cfg.HWPrefetch == nil && !m.cfg.SelfCheck &&
-		m.cfg.Obs == nil && m.pairs == nil && !m.cfg.DisableBlockCache
+		m.cfg.Obs == nil && m.lanes == nil && m.pairs == nil && !m.cfg.DisableBlockCache
 	m.pollMark = m.stats.Instrs >> 16
 	ret, err = m.call(entry, nil, 0)
 	if err == nil && m.fault != nil {
@@ -659,7 +686,8 @@ func (m *Machine) call(c *code, args []int64, depth int) (int64, error) {
 // stepSlow is the fully observed, per-instruction interpreter: block by
 // block through refBlock, which emits a trace line per instruction (when
 // Config.Trace is set), feeds demand loads to the hardware prefetcher (when
-// Config.HWPrefetch is set) and records dynamic opcode pairs (when
+// Config.HWPrefetch is set), fans every access out to the lanes (when
+// Config.Lanes is set) and records dynamic opcode pairs (when
 // Config.PairProfile is set). It is the semantic reference the fused fast
 // path (stepfused.go) escapes to and is differentially tested against.
 func (m *Machine) stepSlow(c *code, regs []int64, depth int) (int64, error) {
@@ -786,26 +814,35 @@ func (m *Machine) refBlock(c *code, bi int32, regs []int64, depth int) (next int
 
 		case ir.OpLoad:
 			addr := uint64(regs[d.s0] + d.imm)
-			lat := m.Hier.Load(addr, m.cycles)
-			m.cycles += uint64(lat)
+			lat := uint64(m.Hier.Load(addr, m.cycles))
+			if m.lanes != nil {
+				m.laneLoad(d.pc, addr, m.cycles, lat, true)
+			}
+			m.cycles += lat
 			regs[d.dst] = m.Mem.Load(addr)
 			m.stats.LoadRefs++
 			c.loadCount[d.loadSlot]++
-			if m.cfg.HWPrefetch != nil {
-				m.cfg.HWPrefetch.Observe(d.pc, addr, m.Hier, m.cycles)
+			if m.pf != nil {
+				m.pf.Observe(d.pc, addr, m.Hier, m.cycles)
 			}
 		case ir.OpSpecLoad:
 			// Speculative load: non-faulting and excluded from per-load
 			// reference statistics (it is inserted machinery, not a program
 			// load).
 			addr := uint64(regs[d.s0] + d.imm)
-			lat := m.Hier.Load(addr, m.cycles)
-			m.cycles += uint64(lat)
+			lat := uint64(m.Hier.Load(addr, m.cycles))
+			if m.lanes != nil {
+				m.laneLoad(0, addr, m.cycles, lat, false)
+			}
+			m.cycles += lat
 			regs[d.dst] = m.Mem.Load(addr)
 		case ir.OpStore:
 			addr := uint64(regs[d.s0] + d.imm)
-			lat := m.Hier.Store(addr, m.cycles)
-			m.cycles += uint64(lat)
+			lat := uint64(m.Hier.Store(addr, m.cycles))
+			if m.lanes != nil {
+				m.laneStore(addr, m.cycles, lat)
+			}
+			m.cycles += lat
 			m.Mem.Store(addr, regs[d.s1])
 			m.stats.StoreRefs++
 		case ir.OpPrefetch:
@@ -815,6 +852,9 @@ func (m *Machine) refBlock(c *code, bi int32, regs []int64, depth int) (next int
 			// mirroring lfetch semantics on unmapped pages.
 			if !m.noPf && m.Mem.Mapped(addr) {
 				m.Hier.PrefetchClass(addr, m.cycles, obs.Class(d.pfClass))
+				if m.lanes != nil {
+					m.lanePrefetch(addr, m.cycles, obs.Class(d.pfClass))
+				}
 			}
 
 		case ir.OpAlloc:

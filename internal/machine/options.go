@@ -104,3 +104,9 @@ func WithDisableBlockCache() Option {
 func WithPairProfile(p *PairProfile) Option {
 	return func(c *Config) { c.PairProfile = p }
 }
+
+// WithLanes attaches extra memory systems driven in lockstep with the
+// primary one (see Lane).
+func WithLanes(lanes ...Lane) Option {
+	return func(c *Config) { c.Lanes = lanes }
+}
