@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,5 +78,40 @@ func TestRunErrors(t *testing.T) {
 	path := writeTestIR(t)
 	if err := run([]string{"-set", "garbage", path}, &out); err == nil {
 		t.Error("malformed -set accepted")
+	}
+}
+
+// TestTraceGolden pins the -trace output byte for byte on a kernel with a
+// call, a predicated instruction and a load+store pair: one full run with
+// -stats, then two runs cut short by -max-steps, one inside the callee and
+// one after it returned. A cut run prints every instruction within the
+// budget and none beyond it. Regenerate with
+// UPDATE_GOLDEN=1 go test ./cmd/irrun -run TraceGolden.
+func TestTraceGolden(t *testing.T) {
+	src := filepath.Join("testdata", "trace.ir")
+	var out strings.Builder
+	for _, args := range [][]string{
+		{"-trace", "-stats", "-set", "0x2000=5", src},
+		{"-trace", "-max-steps", "12", src},
+		{"-trace", "-max-steps", "20", src},
+	} {
+		fmt.Fprintf(&out, "$ irrun %s\n", strings.Join(args, " "))
+		if err := run(args, &out); err != nil {
+			fmt.Fprintf(&out, "error: %v\n", err)
+		}
+	}
+	got := out.String()
+	path := filepath.Join("testdata", "trace.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with UPDATE_GOLDEN=1 to create)", err)
+	}
+	if got != string(want) {
+		t.Errorf("trace output changed; review and regenerate with UPDATE_GOLDEN=1\n--- got\n%s", got)
 	}
 }

@@ -1,16 +1,15 @@
-// Basic-block dispatch cache: the translation layer behind the fused fast
-// path (stepfused.go).
+// Basic-block dispatch cache: the translation layer behind the step loop
+// (stepfused.go).
 //
-// On first entry to a block the fused loop translates its decoded
-// instructions into a compact pre-resolved execution form — an []xinstr —
-// and caches it on the code (code.xb). Translation buys three things over
-// per-instruction interpretation:
+// On first entry to a function the step loop translates its decoded
+// instructions into a compact pre-resolved execution form — an []xinstr per
+// block — and caches it on the code (code.xb). The fused translation buys
+// three things over per-instruction interpretation:
 //
 //   - the per-instruction overheads (instruction count, budget check,
-//     interrupt poll, predicate test, cost charge, dispatch switch) are
-//     hoisted to once per xinstr, and an xinstr can cover many source
-//     instructions (a full micro group plus its folded constants and
-//     trailing branch);
+//     predicate test, cost charge, dispatch switch) are hoisted to once per
+//     xinstr, and an xinstr can cover many source instructions (a full micro
+//     group plus its folded constants and trailing branch);
 //   - the dominant dynamic pairs get dedicated superinstruction handlers
 //     (compare+branch, load+store, load+hook — see DESIGN.md for the
 //     measured pair distribution this set was chosen from);
@@ -18,13 +17,13 @@
 //     members skip everything but the operation itself, with single-use
 //     constants folded into their consumers' immediate operands.
 //
-// Cycle and statistics accounting must stay bit-identical to the reference
-// interpreter (machine.go refBlock); the fusion rules below only merge
-// instruction sequences with no observation point (hierarchy access, hook
-// call, nested call) between the merged members, so charging their fixed
-// costs in one lump is invisible. Anything the translator cannot prove safe
-// — predicated terminators, unknown opcodes — marks the whole block
-// interp-only and the fused loop runs it through refBlock instead.
+// The fusion rules only merge instruction sequences with no observation
+// point (hierarchy access, hook call, nested call) between the merged
+// members, so charging their fixed costs in one lump is invisible. The exact
+// translation has one source instruction per xinstr and none of the above;
+// it serves instruction tracing, pair profiling and the instruction-budget
+// tail, and defines the semantics the fused translation must match cycle for
+// cycle (fused_test.go and simcheck's fused property compare the two).
 package machine
 
 import "stridepf/internal/ir"
@@ -119,6 +118,12 @@ const (
 	xCall
 	xAlloc
 	xRand
+	// xTrace is the exact translation's per-instruction observation point
+	// under Config.Trace or Config.PairProfile: it carries the budget count
+	// (nsrc 1) of source instruction src, which follows it with nsrc 0, and
+	// records the pair profile and the trace line before that instruction is
+	// charged.
+	xTrace
 )
 
 // groupMax bounds how many micros one xALU group carries.
@@ -126,13 +131,17 @@ const groupMax = 6
 
 // xinstr is one fused-form instruction. Exactly one kind's field subset is
 // meaningful; nsrc source instructions and cost fixed cycles are charged up
-// front by the fused loop.
+// front by the step loop.
 type xinstr struct {
-	kind     xkind
-	nsrc     uint8
-	nm       uint8 // live micros in mi (xALU/xALUBr)
-	pfClass  uint8
-	cost     uint32
+	kind    xkind
+	nsrc    uint8
+	nm      uint8 // live micros in mi (xALU/xALUBr)
+	pfClass uint8
+	cost    uint32
+	// src is the block index of the first source instruction covered; the
+	// exact translation resumes there when the instruction budget runs out
+	// inside this xinstr.
+	src      int32
 	dst      int32
 	s0, s1   int32
 	s2, s3   int32 // fused store operands (xLoadStore)
@@ -145,25 +154,20 @@ type xinstr struct {
 	hook     HookFunc
 	callee   *code
 	args     []int32
-	// xb0/xb1 are the terminator's successor translations, linked by
-	// translateCode once every block of the function is translated, so taken
-	// branches jump pointer-to-pointer without re-indexing code.xb.
+	// xb0/xb1 are the terminator's successor translations, linked once every
+	// block of the function is translated, so taken branches jump
+	// pointer-to-pointer without re-indexing code.xb.
 	xb0, xb1 *xblock
 }
 
-// xblock is the cached fused translation of one basic block.
+// xblock is the cached translation of one basic block.
 type xblock struct {
 	ins []xinstr
-	// bi is the block's index in code.blocks, for the refBlock escape.
+	// bi is the block's index in code.blocks.
 	bi int32
-	// interp marks a block the translator refused; the fused loop runs it
-	// through refBlock every entry.
-	interp bool
-	// limit is MaxSteps minus the block's source instruction count
-	// (saturating at zero): the fused loop's conservative budget guard
-	// (Instrs > limit escapes to the reference interpreter, which delivers
-	// ErrMaxSteps on the exact instruction).
-	limit uint64
+	// exact is the block's exact translation, built on first use when the
+	// instruction budget runs out inside a multi-instruction xinstr.
+	exact *xblock
 }
 
 // aluKind maps an ALU-class opcode to its micro kind.
@@ -306,10 +310,9 @@ func immALU(op ir.Opcode, side int) (uKind, bool) {
 }
 
 // countReads tallies the static read sites of every register across the
-// function, exactly mirroring which registers refBlock actually reads per
-// opcode. Unknown opcodes conservatively count everything they could read —
-// overcounting only disables folding, undercounting would elide a live
-// write.
+// function, exactly mirroring which registers each opcode reads. The
+// default case counts every operand field — overcounting only disables
+// folding, undercounting would elide a live write.
 func countReads(c *code) []int32 {
 	counts := make([]int32, c.nregs)
 	bump := func(r int32) {
@@ -346,113 +349,147 @@ func countReads(c *code) []int32 {
 	return counts
 }
 
-// translateCode builds the fused execution form of every block of c and
-// links the terminators' successor pointers. Translation is eager — the
-// whole function on first fused entry — so a taken branch never has to ask
-// whether its target is translated yet.
+// translateCode translates every block of c and links the terminators'
+// successor pointers. Translation is eager — the whole function on first
+// entry — so a taken branch never has to ask whether its target is
+// translated yet. Traced and pair-profiled runs use the exact translation
+// throughout.
 func (m *Machine) translateCode(c *code) {
 	if c.regReads == nil {
 		c.regReads = countReads(c)
 	}
+	exact := m.cfg.Trace != nil || m.pairs != nil
 	c.xb = make([]*xblock, len(c.blocks))
 	for bi := range c.blocks {
-		c.xb[bi] = m.translateBlock(c, int32(bi))
+		c.xb[bi] = m.translateBlock(c, int32(bi), exact)
 	}
 	for _, xb := range c.xb {
-		for i := range xb.ins {
-			x := &xb.ins[i]
-			switch x.kind {
-			case xALUBr, xBr:
-				x.xb0 = c.xb[x.t0]
-			case xEqBr, xNeBr, xLtBr, xLeBr, xGtBr, xGeBr,
-				xEqBrI, xNeBrI, xLtBrI, xLeBrI, xGtBrI, xGeBrI, xCondBr:
-				x.xb0, x.xb1 = c.xb[x.t0], c.xb[x.t1]
-			}
+		c.link(xb)
+	}
+}
+
+// link points xb's terminator at its successors' translations in c.xb.
+func (c *code) link(xb *xblock) {
+	for i := range xb.ins {
+		x := &xb.ins[i]
+		switch x.kind {
+		case xALUBr, xBr:
+			x.xb0 = c.xb[x.t0]
+		case xEqBr, xNeBr, xLtBr, xLeBr, xGtBr, xGeBr,
+			xEqBrI, xNeBrI, xLtBrI, xLeBrI, xGtBrI, xGeBrI, xCondBr:
+			x.xb0, x.xb1 = c.xb[x.t0], c.xb[x.t1]
 		}
 	}
 }
 
-// translateBlock builds the fused execution form of block bi of c. Hook
-// pointers are copied from the decoded stream, so the translation is only
-// valid for the hook bindings resolveHooks installed before the current Run
-// — resolveHooks drops code.xb whenever it rebinds.
-func (m *Machine) translateBlock(c *code, bi int32) *xblock {
+// exactTwin returns the exact translation of xb's block, translating it on
+// first use. Its xinstr i is source instruction i, so the step loop can
+// resume it at any xinstr's src.
+func (m *Machine) exactTwin(c *code, xb *xblock) *xblock {
+	if xb.exact == nil {
+		xb.exact = m.translateBlock(c, xb.bi, true)
+		c.link(xb.exact)
+	}
+	return xb.exact
+}
+
+// singleton translates one decoded instruction on its own, predicate
+// included. Every opcode New accepts has one.
+func singleton(d *decoded, ii int) xinstr {
+	x := xinstr{nsrc: 1, cost: d.cost, src: int32(ii), pfClass: d.pfClass,
+		dst: d.dst, s0: d.s0, s1: d.s1, pred: d.pred, t0: d.t0, t1: d.t1,
+		loadSlot: d.loadSlot, imm: d.imm, hook: d.hook, callee: d.callee, args: d.args}
+	if uk, ok := aluKind(d.op); ok {
+		x.kind, x.nm = xALU, 1
+		x.mi[0] = micro{kind: uk, dst: d.dst, s0: d.s0, s1: d.s1, imm: d.imm}
+		return x
+	}
+	switch d.op {
+	case ir.OpLoad:
+		x.kind = xLoad
+	case ir.OpSpecLoad:
+		x.kind = xSpecLoad
+	case ir.OpStore:
+		x.kind = xStore
+	case ir.OpPrefetch:
+		x.kind = xPrefetch
+	case ir.OpAlloc:
+		x.kind = xAlloc
+	case ir.OpRand:
+		x.kind = xRand
+	case ir.OpHook:
+		x.kind = xHook
+	case ir.OpCall:
+		x.kind = xCall
+	case ir.OpBr:
+		x.kind = xBr
+	case ir.OpCondBr:
+		x.kind = xCondBr
+	case ir.OpRet:
+		x.kind = xRet
+	}
+	return x
+}
+
+// translateBlock builds the execution form of block bi of c: the fused
+// translation, or with exact set the exact one. Hook pointers are copied
+// from the decoded stream, so the translation is only valid for the hook
+// bindings resolveHooks installed before the current Run — resolveHooks
+// drops code.xb whenever it rebinds.
+func (m *Machine) translateBlock(c *code, bi int32, exact bool) *xblock {
 	blk := c.blocks[bi]
 	xb := &xblock{bi: bi}
-	if n := uint64(len(blk)); m.cfg.MaxSteps > n {
-		xb.limit = m.cfg.MaxSteps - n
-	}
+	// Traced and pair-profiled runs observe every instruction through an
+	// xTrace ahead of it.
+	observe := exact && (m.cfg.Trace != nil || m.pairs != nil)
+	// load+store batching presents the store before a prefetcher or lane
+	// could observe the load, so it forms only when neither is attached.
+	batch := m.pf == nil && m.lanes == nil
 
 	var g [groupMax]micro
-	ng := 0       // micros pending in g
-	gsrc := 0     // source instructions those micros cover (folds cover two)
+	ng := 0     // micros pending in g
+	gsrc := 0   // source instructions those micros cover (folds cover two)
+	gstart := 0 // block index of the group's first source instruction
 	gcost := uint32(0)
 	flush := func() {
 		if ng == 0 {
 			return
 		}
-		x := xinstr{kind: xALU, nsrc: uint8(gsrc), nm: uint8(ng), cost: gcost, pred: -1}
+		x := xinstr{kind: xALU, nsrc: uint8(gsrc), nm: uint8(ng), cost: gcost, src: int32(gstart), pred: -1}
 		copy(x.mi[:], g[:ng])
 		xb.ins = append(xb.ins, x)
 		ng, gsrc, gcost = 0, 0, 0
+	}
+	// push appends a micro covering n source instructions from ii on.
+	push := func(u micro, ii, n int, cost uint32) {
+		if ng == groupMax {
+			flush()
+		}
+		if ng == 0 {
+			gstart = ii
+		}
+		g[ng] = u
+		ng++
+		gsrc += n
+		gcost += cost
 	}
 
 	for ii := 0; ii < len(blk); ii++ {
 		d := &blk[ii]
 
-		if d.pred >= 0 {
+		if exact || d.pred >= 0 {
 			// Predicated instructions run as singletons carrying the
-			// qualifying predicate: the fused loop charges their slot, tests
-			// the predicate, and squashes exactly like the reference loop.
-			// Predication is pervasive in prefetch-inserted code, so falling
-			// back to interpretation here would forfeit the fast path on the
-			// very workloads that matter.
-			if uk, ok := aluKind(d.op); ok {
-				flush()
-				xb.ins = append(xb.ins, xinstr{
-					kind: xALU, nsrc: 1, nm: 1, cost: uint32(d.cost), pred: d.pred,
-					mi: [groupMax]micro{{kind: uk, dst: d.dst, s0: d.s0, s1: d.s1, imm: d.imm}},
-				})
-				continue
+			// qualifying predicate: the step loop charges their slot, tests
+			// the predicate, and squashes. Predication is pervasive in
+			// prefetch-inserted code, so it must not cost the rest of the
+			// block its fusion.
+			flush()
+			x := singleton(d, ii)
+			if observe {
+				xb.ins = append(xb.ins, xinstr{kind: xTrace, nsrc: 1, src: int32(ii), pred: -1})
+				x.nsrc = 0
 			}
-			switch d.op {
-			case ir.OpLoad:
-				flush()
-				xb.ins = append(xb.ins, xinstr{kind: xLoad, nsrc: 1, cost: uint32(d.cost),
-					pred: d.pred, dst: d.dst, s0: d.s0, imm: d.imm, loadSlot: d.loadSlot})
-			case ir.OpSpecLoad:
-				flush()
-				xb.ins = append(xb.ins, xinstr{kind: xSpecLoad, nsrc: 1, cost: uint32(d.cost),
-					pred: d.pred, dst: d.dst, s0: d.s0, imm: d.imm})
-			case ir.OpStore:
-				flush()
-				xb.ins = append(xb.ins, xinstr{kind: xStore, nsrc: 1, cost: uint32(d.cost),
-					pred: d.pred, s0: d.s0, s1: d.s1, imm: d.imm})
-			case ir.OpPrefetch:
-				flush()
-				xb.ins = append(xb.ins, xinstr{kind: xPrefetch, nsrc: 1, cost: uint32(d.cost),
-					pred: d.pred, s0: d.s0, imm: d.imm, pfClass: d.pfClass})
-			case ir.OpAlloc:
-				flush()
-				xb.ins = append(xb.ins, xinstr{kind: xAlloc, nsrc: 1, cost: uint32(d.cost),
-					pred: d.pred, dst: d.dst, s0: d.s0})
-			case ir.OpRand:
-				flush()
-				xb.ins = append(xb.ins, xinstr{kind: xRand, nsrc: 1, cost: uint32(d.cost),
-					pred: d.pred, dst: d.dst, s0: d.s0})
-			case ir.OpHook:
-				flush()
-				xb.ins = append(xb.ins, xinstr{kind: xHook, nsrc: 1, cost: uint32(d.cost),
-					pred: d.pred, hook: d.hook, args: d.args})
-			case ir.OpCall:
-				flush()
-				xb.ins = append(xb.ins, xinstr{kind: xCall, nsrc: 1, cost: uint32(d.cost),
-					pred: d.pred, dst: d.dst, callee: d.callee, args: d.args})
-			default:
-				// A predicated terminator (which the IR builders never emit)
-				// or an unknown opcode: refuse the block rather than guess.
-				return &xblock{bi: bi, interp: true}
-			}
+			xb.ins = append(xb.ins, x)
 			continue
 		}
 
@@ -462,7 +499,7 @@ func (m *Machine) translateBlock(c *code, bi int32) *xblock {
 		// operand, and the now-dead register write disappears. The builders'
 		// fresh-temp-per-Const idiom makes this the common case. The covered
 		// source count and cost still include the const, so instruction and
-		// cycle accounting stay identical to the reference interpreter.
+		// cycle accounting stay identical to the exact translation.
 		if d.op == ir.OpConst && ii+1 < len(blk) && c.regReads[d.dst] == 1 {
 			n := &blk[ii+1]
 			if n.pred < 0 {
@@ -479,7 +516,7 @@ func (m *Machine) translateBlock(c *code, bi int32) *xblock {
 							}
 							flush()
 							xb.ins = append(xb.ins, xinstr{
-								kind: xk, nsrc: 3, cost: uint32(d.cost + n.cost + t.cost),
+								kind: xk, nsrc: 3, cost: d.cost + n.cost + t.cost, src: int32(ii),
 								pred: -1, dst: n.dst, s0: surv, imm: d.imm,
 								t0: t.t0, t1: t.t1,
 							})
@@ -503,13 +540,7 @@ func (m *Machine) translateBlock(c *code, bi int32) *xblock {
 						if onL {
 							surv = n.s1
 						}
-						if ng == groupMax {
-							flush()
-						}
-						g[ng] = micro{kind: mk, dst: n.dst, s0: surv, imm: imm}
-						ng++
-						gsrc += 2
-						gcost += uint32(d.cost + n.cost)
+						push(micro{kind: mk, dst: n.dst, s0: surv, imm: imm}, ii, 2, d.cost+n.cost)
 						ii++
 						continue
 					}
@@ -517,13 +548,7 @@ func (m *Machine) translateBlock(c *code, bi int32) *xblock {
 				// Pair: const + mov collapses to a constant write of the mov
 				// target.
 				if n.op == ir.OpMov && n.s0 == d.dst {
-					if ng == groupMax {
-						flush()
-					}
-					g[ng] = micro{kind: uConst, dst: n.dst, imm: d.imm}
-					ng++
-					gsrc += 2
-					gcost += uint32(d.cost + n.cost)
+					push(micro{kind: uConst, dst: n.dst, imm: d.imm}, ii, 2, d.cost+n.cost)
 					ii++
 					continue
 				}
@@ -539,115 +564,62 @@ func (m *Machine) translateBlock(c *code, bi int32) *xblock {
 				if n.op == ir.OpCondBr && n.pred < 0 && n.s0 == d.dst {
 					flush()
 					xb.ins = append(xb.ins, xinstr{
-						kind: xk, nsrc: 2, cost: uint32(d.cost + n.cost), pred: -1,
+						kind: xk, nsrc: 2, cost: d.cost + n.cost, src: int32(ii), pred: -1,
 						dst: d.dst, s0: d.s0, s1: d.s1, t0: n.t0, t1: n.t1,
 					})
 					ii++
 					continue
 				}
 			}
-			if ng == groupMax {
-				flush()
-			}
-			g[ng] = micro{kind: uk, dst: d.dst, s0: d.s0, s1: d.s1, imm: d.imm}
-			ng++
-			gsrc++
-			gcost += uint32(d.cost)
+			push(micro{kind: uk, dst: d.dst, s0: d.s0, s1: d.s1, imm: d.imm}, ii, 1, d.cost)
 			continue
 		}
 
-		switch d.op {
-		case ir.OpLoad:
-			if ii+1 < len(blk) {
-				n := &blk[ii+1]
-				// load+store fuses only when the store reads neither its
-				// address nor its value from the load's destination; then the
-				// store operands are identical before and after the load
-				// retires and the two refs can batch.
-				if n.op == ir.OpStore && n.pred < 0 && n.s0 != d.dst && n.s1 != d.dst {
-					flush()
-					xb.ins = append(xb.ins, xinstr{
-						kind: xLoadStore, nsrc: 2, cost: 0, pred: -1,
-						dst: d.dst, s0: d.s0, imm: d.imm, loadSlot: d.loadSlot,
-						s2: n.s0, s3: n.s1, imm2: n.imm,
-					})
-					ii++
-					continue
-				}
-				// load+hook is the instrumented-code signature: the profiled
-				// load immediately handing its address/value to strideProf.
-				if n.op == ir.OpHook && n.pred < 0 {
-					flush()
-					xb.ins = append(xb.ins, xinstr{
-						kind: xLoadHook, nsrc: 2, cost: 0, pred: -1,
-						dst: d.dst, s0: d.s0, imm: d.imm, loadSlot: d.loadSlot,
-						hook: n.hook, args: n.args,
-					})
-					ii++
-					continue
-				}
+		switch {
+		case d.op == ir.OpLoad && ii+1 < len(blk) && blk[ii+1].pred < 0:
+			n := &blk[ii+1]
+			// load+store fuses only when the store reads neither its address
+			// nor its value from the load's destination; then the store
+			// operands are identical before and after the load retires and
+			// the two refs can batch.
+			if batch && n.op == ir.OpStore && n.s0 != d.dst && n.s1 != d.dst {
+				flush()
+				xb.ins = append(xb.ins, xinstr{
+					kind: xLoadStore, nsrc: 2, cost: 0, src: int32(ii), pred: -1,
+					dst: d.dst, s0: d.s0, imm: d.imm, loadSlot: d.loadSlot,
+					s2: n.s0, s3: n.s1, imm2: n.imm,
+				})
+				ii++
+				continue
 			}
-			flush()
-			xb.ins = append(xb.ins, xinstr{kind: xLoad, nsrc: 1, cost: uint32(d.cost),
-				pred: -1, dst: d.dst, s0: d.s0, imm: d.imm, loadSlot: d.loadSlot})
-		case ir.OpSpecLoad:
-			flush()
-			xb.ins = append(xb.ins, xinstr{kind: xSpecLoad, nsrc: 1, cost: uint32(d.cost),
-				pred: -1, dst: d.dst, s0: d.s0, imm: d.imm})
-		case ir.OpStore:
-			flush()
-			xb.ins = append(xb.ins, xinstr{kind: xStore, nsrc: 1, cost: uint32(d.cost),
-				pred: -1, s0: d.s0, s1: d.s1, imm: d.imm})
-		case ir.OpPrefetch:
-			flush()
-			xb.ins = append(xb.ins, xinstr{kind: xPrefetch, nsrc: 1, cost: uint32(d.cost),
-				pred: -1, s0: d.s0, imm: d.imm, pfClass: d.pfClass})
-		case ir.OpAlloc:
-			flush()
-			xb.ins = append(xb.ins, xinstr{kind: xAlloc, nsrc: 1, cost: uint32(d.cost),
-				pred: -1, dst: d.dst, s0: d.s0})
-		case ir.OpRand:
-			flush()
-			xb.ins = append(xb.ins, xinstr{kind: xRand, nsrc: 1, cost: uint32(d.cost),
-				pred: -1, dst: d.dst, s0: d.s0})
-		case ir.OpHook:
-			flush()
-			xb.ins = append(xb.ins, xinstr{kind: xHook, nsrc: 1, cost: uint32(d.cost),
-				pred: -1, hook: d.hook, args: d.args})
-		case ir.OpCall:
-			flush()
-			xb.ins = append(xb.ins, xinstr{kind: xCall, nsrc: 1, cost: uint32(d.cost),
-				pred: -1, dst: d.dst, callee: d.callee, args: d.args})
-
-		case ir.OpBr:
-			if ng > 0 {
-				// Fold the branch into the pending ALU group: the group's
-				// last micro and the transfer dispatch as one.
-				x := xinstr{kind: xALUBr, nsrc: uint8(gsrc) + 1, nm: uint8(ng),
-					cost: gcost + uint32(d.cost), pred: -1, t0: d.t0}
-				copy(x.mi[:], g[:ng])
-				xb.ins = append(xb.ins, x)
-				ng, gsrc, gcost = 0, 0, 0
-			} else {
-				xb.ins = append(xb.ins, xinstr{kind: xBr, nsrc: 1, cost: uint32(d.cost),
-					pred: -1, t0: d.t0})
+			// load+hook is the instrumented-code signature: the profiled
+			// load immediately handing its address/value to strideProf.
+			if n.op == ir.OpHook {
+				flush()
+				xb.ins = append(xb.ins, xinstr{
+					kind: xLoadHook, nsrc: 2, cost: 0, src: int32(ii), pred: -1,
+					dst: d.dst, s0: d.s0, imm: d.imm, loadSlot: d.loadSlot,
+					hook: n.hook, args: n.args,
+				})
+				ii++
+				continue
 			}
-		case ir.OpCondBr:
-			flush()
-			xb.ins = append(xb.ins, xinstr{kind: xCondBr, nsrc: 1, cost: uint32(d.cost),
-				pred: -1, s0: d.s0, t0: d.t0, t1: d.t1})
-		case ir.OpRet:
-			flush()
-			xb.ins = append(xb.ins, xinstr{kind: xRet, nsrc: 1, cost: uint32(d.cost),
-				pred: -1, s0: d.s0})
-
-		default:
-			return &xblock{bi: bi, interp: true}
+		case d.op == ir.OpBr && ng > 0:
+			// Fold the branch into the pending ALU group: the group's last
+			// micro and the transfer dispatch as one.
+			x := xinstr{kind: xALUBr, nsrc: uint8(gsrc) + 1, nm: uint8(ng),
+				cost: gcost + d.cost, src: int32(gstart), pred: -1, t0: d.t0}
+			copy(x.mi[:], g[:ng])
+			xb.ins = append(xb.ins, x)
+			ng, gsrc, gcost = 0, 0, 0
+			continue
 		}
+		flush()
+		xb.ins = append(xb.ins, singleton(d, ii))
 	}
-	// A block without a terminator (rejected by the verifier, but kept
-	// semantically aligned with refBlock): any pending group still executes
-	// before the fused loop reports the missing terminator.
+	// A block without a terminator (rejected by the verifier): any pending
+	// group still executes before the step loop reports the missing
+	// terminator.
 	flush()
 	return xb
 }

@@ -102,66 +102,6 @@ func BenchmarkMachineThroughput(b *testing.B) {
 	b.ReportMetric(float64(st.Instrs)/float64(b.N), "instrs/op")
 }
 
-// BenchmarkMachineThroughputRef is BenchmarkMachineThroughput forced onto
-// the per-instruction reference interpreter, so the block-cache speedup is
-// measurable as the ratio of the two on the same machine and load.
-func BenchmarkMachineThroughputRef(b *testing.B) {
-	const nodes = 1 << 12
-	bl := ir.NewBuilder("main")
-	head := bl.Block("head")
-	body := bl.Block("body")
-	even := bl.Block("even")
-	odd := bl.Block("odd")
-	tail := bl.Block("tail")
-	exit := bl.Block("exit")
-	n := bl.Const(int64(b.N))
-	i := bl.Const(0)
-	base := bl.Const(0x4000_0000)
-	p := bl.Const(0x4000_0000)
-	acc := bl.Const(0)
-	bl.Br(head)
-	bl.At(head)
-	bl.CondBr(bl.CmpLT(i, n), body, exit)
-	bl.At(body)
-	v := bl.Load(p, 0)
-	bl.Store(p, 8, acc)
-	bl.Mov(acc, bl.Add(acc, bl.Xor(v.Dst, i)))
-	parity := bl.And(i, bl.Const(1))
-	bl.CondBr(bl.CmpEQ(parity, bl.Const(0)), even, odd)
-	bl.At(even)
-	bl.Mov(acc, bl.Add(acc, bl.Const(3)))
-	bl.Br(tail)
-	bl.At(odd)
-	bl.Mov(acc, bl.Sub(acc, bl.Const(1)))
-	bl.Br(tail)
-	bl.At(tail)
-	bl.Mov(p, bl.Add(base, bl.Mul(bl.And(v.Dst, bl.Const(nodes-1)), bl.Const(64))))
-	bl.AddITo(i, i, 1)
-	bl.Br(head)
-	bl.At(exit)
-	bl.Ret(acc)
-	prog := ir.NewProgram()
-	prog.Add(bl.Finish())
-
-	m, err := New(prog, WithConfig(Config{MaxSteps: 1 << 62}), WithDisableBlockCache())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for k := uint64(0); k < nodes; k++ {
-		m.Mem.Store(0x4000_0000+k*64, int64((k*2654435761)%nodes))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if _, err := m.Run(); err != nil {
-		b.Fatal(err)
-	}
-	st := m.Stats()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(st.Instrs)/secs, "instrs/s")
-	}
-	b.ReportMetric(float64(st.Instrs)/float64(b.N), "instrs/op")
-}
-
 // BenchmarkInterpreterMemory measures interpretation with one load per
 // iteration through the cache hierarchy.
 func BenchmarkInterpreterMemory(b *testing.B) {

@@ -7,10 +7,13 @@ import (
 	"stridepf/internal/ir"
 )
 
-// runBoth executes prog on two fresh machines — fused fast path and
-// per-instruction reference — and requires every observable to match:
-// result, error identity, full statistics (exact instruction and cycle
-// counts), memory fingerprint and per-load counts.
+// runBoth executes prog on two fresh machines — the fused translation and
+// the exact one, selected through a pair profile — and requires every
+// observable to match: result, error identity, full statistics (exact
+// instruction and cycle counts), memory fingerprint and per-load counts. It
+// also requires each side to have run the translation it asked for: the
+// fused side some multi-instruction xinstr, the exact side one profiled
+// dispatch per executed instruction.
 func runBoth(t *testing.T, prog *ir.Program, cfg Config, hooks map[int64]HookFunc) (int64, error) {
 	t.Helper()
 	type outcome struct {
@@ -20,10 +23,9 @@ func runBoth(t *testing.T, prog *ir.Program, cfg Config, hooks map[int64]HookFun
 		fp    uint64
 		lc    map[LoadKey]uint64
 	}
-	run := func(opts ...Option) outcome {
+	run := func(opts ...Option) (outcome, *Machine) {
 		t.Helper()
-		opts = append(opts, WithConfig(cfg))
-		m, err := New(prog, opts...)
+		m, err := New(prog, append([]Option{WithConfig(cfg)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,10 +33,25 @@ func runBoth(t *testing.T, prog *ir.Program, cfg Config, hooks map[int64]HookFun
 			m.Register(id, fn)
 		}
 		ret, err := m.Run()
-		return outcome{ret, err, m.Stats(), m.Mem.Fingerprint(), m.LoadCounts()}
+		return outcome{ret, err, m.Stats(), m.Mem.Fingerprint(), m.LoadCounts()}, m
 	}
-	fused := run()
-	ref := run(WithDisableBlockCache())
+	fused, fm := run()
+	pp := NewPairProfile()
+	ref, _ := run(WithPairProfile(pp))
+
+	if !fusedSomewhere(fm) {
+		t.Error("fused side ran no multi-instruction xinstr")
+	}
+	// The instruction that crosses the budget is counted but never
+	// dispatched, so it is the one instruction the profile misses.
+	profiled := ref.stats.Instrs
+	if errors.Is(ref.err, ErrMaxSteps) {
+		profiled--
+	}
+	if pp.Total() != profiled {
+		t.Errorf("exact side profiled %d instructions, executed %d", pp.Total(), profiled)
+	}
+
 	if fused.ret != ref.ret {
 		t.Errorf("result: fused=%d reference=%d", fused.ret, ref.ret)
 	}
@@ -59,8 +76,23 @@ func runBoth(t *testing.T, prog *ir.Program, cfg Config, hooks map[int64]HookFun
 	return fused.ret, fused.err
 }
 
-// TestFusedMatchesReferenceKernels pins the fused path against the
-// reference interpreter on hand-built kernels covering the fusion rules:
+// fusedSomewhere reports whether any translated block of m has an xinstr
+// covering more than one source instruction.
+func fusedSomewhere(m *Machine) bool {
+	for _, c := range m.codes {
+		for _, xb := range c.xb {
+			for i := range xb.ins {
+				if xb.ins[i].nsrc > 1 {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestFusedMatchesReferenceKernels pins the fused translation against the
+// exact one on hand-built kernels covering the fusion rules:
 // compare+branch, load+store, ALU groups with folded branches, and the
 // constant-folding peepholes.
 func TestFusedMatchesReferenceKernels(t *testing.T) {
@@ -224,12 +256,14 @@ func TestFusedMatchesReferenceKernels(t *testing.T) {
 	})
 }
 
-// TestFusedMaxStepsExact requires the fused path to deliver ErrMaxSteps on
-// exactly the same instruction as the reference interpreter, for budgets
-// landing on every point of a block — including mid-block, where the fused
-// loop must escape to per-instruction execution rather than overrun.
+// TestFusedMaxStepsExact requires the fused translation to deliver
+// ErrMaxSteps on exactly the same instruction as the exact translation, for
+// budgets landing on every point of a block — including mid-xinstr, where
+// the step loop must rewind into the exact translation rather than overrun,
+// a budget shorter than the entry block, and a budget that runs out after a
+// nested call returned.
 func TestFusedMaxStepsExact(t *testing.T) {
-	build := func() *ir.Program {
+	loop := func() *ir.Program {
 		bl := ir.NewBuilder("main")
 		head := bl.Block("head")
 		body := bl.Block("body")
@@ -251,10 +285,33 @@ func TestFusedMaxStepsExact(t *testing.T) {
 		return prog
 	}
 	for budget := uint64(1); budget <= 40; budget++ {
-		prog := build()
-		_, err := runBoth(t, prog, Config{MaxSteps: budget}, nil)
+		_, err := runBoth(t, loop(), Config{MaxSteps: budget}, nil)
 		if !errors.Is(err, ErrMaxSteps) {
-			t.Fatalf("budget %d: err = %v, want ErrMaxSteps", budget, err)
+			t.Fatalf("loop, budget %d: err = %v, want ErrMaxSteps", budget, err)
+		}
+	}
+
+	// main: const, call (callee: addi, ret), five adds, ret — ten
+	// instructions, the last seven in the caller's block after the call.
+	call := func() *ir.Program {
+		cal := ir.NewBuilder("callee")
+		cal.Ret(cal.AddI(cal.Param(), 1))
+		bl := ir.NewBuilder("main")
+		x := bl.Call("callee", bl.Const(3)).Dst
+		acc := x
+		for k := 0; k < 5; k++ {
+			acc = bl.Add(acc, x)
+		}
+		bl.Ret(acc)
+		prog := ir.NewProgram()
+		prog.Add(bl.Finish())
+		prog.Add(cal.Finish())
+		return prog
+	}
+	for budget := uint64(1); budget <= 12; budget++ {
+		_, err := runBoth(t, call(), Config{MaxSteps: budget}, nil)
+		if want := budget < 10; errors.Is(err, ErrMaxSteps) != want {
+			t.Errorf("call, budget %d: err = %v, want ErrMaxSteps %v", budget, err, want)
 		}
 	}
 }
@@ -263,7 +320,7 @@ func TestFusedMaxStepsExact(t *testing.T) {
 // Register: a Register call made while a Run is in progress has no effect
 // on the current run — every subsequent hook invocation still calls the
 // binding resolveHooks installed at Run start — and takes effect at the
-// next Run, on both step loops.
+// next Run, on both the fused and the exact translation.
 func TestRegisterMidRunNextRunContract(t *testing.T) {
 	build := func() *ir.Program {
 		bl := ir.NewBuilder("main")
@@ -282,7 +339,7 @@ func TestRegisterMidRunNextRunContract(t *testing.T) {
 		opts []Option
 	}{
 		{"fused", nil},
-		{"reference", []Option{WithDisableBlockCache()}},
+		{"reference", []Option{WithPairProfile(NewPairProfile())}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, err := New(build(), tc.opts...)

@@ -20,10 +20,12 @@ import (
 // plus the lane's own stall total, kept as a skew against the primary
 // clock, so each lane sees exactly the call sequence a standalone run
 // would give it: Load/Store/PrefetchClass(addr, now), then the
-// prefetcher's Observe(pc, addr, hier, now+lat). Runtime hooks charge
-// simulated time to the one shared clock, so a program with OpHook sites
-// cannot run with lanes attached (Run fails with *LaneHookError). A run
-// with lanes takes the per-instruction reference loop.
+// prefetcher's Observe(pc, addr, hier, now+lat). The fan-out runs inside the
+// step loop's memory handlers; with lanes attached the translator leaves
+// loads and stores unbatched, so each lane sees them one at a time. Runtime
+// hooks charge simulated time to the one shared clock, so a program with
+// OpHook sites cannot run with lanes attached (Run fails with
+// *LaneHookError).
 type Lane struct {
 	// Hierarchy is the lane's cache configuration; the zero value selects
 	// cache.ItaniumConfig.

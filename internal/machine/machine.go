@@ -75,16 +75,17 @@ type Config struct {
 	// never register or memory state).
 	DisablePrefetch bool
 	// Trace, when non-nil, receives one line per executed instruction:
-	// "cycle function/block instruction". Tracing is for debugging small
-	// programs — it slows execution dramatically.
+	// "cycle function/block instruction". A traced run executes the exact
+	// translation (one source instruction per dispatch, see bbcache.go);
+	// tracing is for debugging small programs — it slows execution
+	// dramatically.
 	Trace io.Writer
 	// Obs, when non-nil, collects prefetch-effectiveness metrics (accuracy,
 	// coverage, timeliness per prefetch class; see package obs). Prefetch
 	// instructions are attributed to their class via the typed
-	// ir.Instr.PFClass field the insertion passes stamp, with the legacy
-	// marker comments ("ssst-prefetch" ...) as a deprecated fallback for IR
-	// predating the field. Observation never changes simulated behavior.
-	// Call FinishObs after the final Run to close the lifecycle accounting.
+	// ir.Instr.PFClass field the insertion passes stamp. Observation never
+	// changes simulated behavior. Call FinishObs after the final Run to
+	// close the lifecycle accounting.
 	Obs *obs.Collector
 	// Lanes are extra memory systems driven in lockstep with the primary
 	// one above, so one execution yields a run per cache/prefetcher
@@ -92,21 +93,16 @@ type Config struct {
 	Lanes []Lane
 	// Interrupt, when non-nil, aborts a running simulation shortly after the
 	// channel becomes readable (typically a context's Done channel): the
-	// step loops poll it every few tens of thousands of instructions and
-	// return ErrInterrupted. Long-running servers use it to thread request
+	// step loop polls it every few tens of thousands of instructions and
+	// returns ErrInterrupted. Long-running servers use it to thread request
 	// cancellation into figure simulations.
 	Interrupt <-chan struct{}
-	// DisableBlockCache forces the per-instruction reference interpreter
-	// even when the fused block-cache fast path (bbcache.go) would apply.
-	// The two must be observably identical — simcheck's fused-differential
-	// property and the tests in fused_test.go run both and compare — so this
-	// knob exists for those checkers and for debugging, not for users.
-	DisableBlockCache bool
 	// PairProfile, when non-nil, records the dynamic frequency of adjacent
-	// opcode pairs executed within basic blocks. It implies
-	// DisableBlockCache: pair profiling is the measurement pass that decides
-	// which superinstructions the fused fast path should provide, so it runs
-	// on the unfused reference interpreter (see cmd/interpbench -pairs).
+	// opcode pairs executed within basic blocks. Pair profiling is the
+	// measurement pass that decides which superinstructions the fused
+	// translation should provide, so the run executes the exact translation
+	// (see cmd/interpbench -pairs). Its result is otherwise identical to an
+	// unprofiled run's, which makes it the differential checkers' reference.
 	PairProfile *PairProfile
 }
 
@@ -169,15 +165,13 @@ type decoded struct {
 	args     []int32
 	hook     HookFunc
 	hookID   int64
-	loadSlot int32  // index into per-function load counters, or -1
-	pc       uint64 // stable static-load identifier for hardware prefetchers
-	pfClass  uint8  // obs.Class of an OpPrefetch (typed PFClass, marker-comment fallback)
-	src      *ir.Instr
+	loadSlot int32     // index into per-function load counters, or -1
+	pfClass  uint8     // obs.Class of an OpPrefetch
+	src      *ir.Instr // the source instruction, kept for Config.Trace
 }
 
 // obsClassOf maps an OpPrefetch's typed provenance (ir.Instr.PFClass) to
-// its obs class, falling back to the deprecated marker-comment encoding for
-// IR produced before the typed field existed (old .mc/.ir files).
+// its obs class.
 func obsClassOf(in *ir.Instr) obs.Class {
 	switch in.PFClass {
 	case ir.PFSSST:
@@ -192,22 +186,6 @@ func obsClassOf(in *ir.Instr) obs.Class {
 		// Path-predicated splits are SSSTs specialised per path; the
 		// observer accounts them with the SSST class they stand in for.
 		return obs.ClassSSST
-	}
-	return legacyPrefetchClass(in.Comment)
-}
-
-// legacyPrefetchClass decodes the deprecated marker-comment encoding of a
-// prefetch's class.
-func legacyPrefetchClass(comment string) obs.Class {
-	switch comment {
-	case "ssst-prefetch":
-		return obs.ClassSSST
-	case "pmst-prefetch", "outloop-dynamic":
-		return obs.ClassPMST
-	case "wsst-prefetch":
-		return obs.ClassWSST
-	case "indirect-prefetch":
-		return obs.ClassIndirect
 	}
 	return obs.ClassUnknown
 }
@@ -232,12 +210,12 @@ type code struct {
 	nregs      int
 	params     []int32
 	loadIDs    []int    // loadSlot -> instruction ID
+	loadPCs    []uint64 // loadSlot -> hardware-prefetcher PC (see loadPC)
 	loadCount  []uint64 // per-static-load dynamic reference counts
 
-	// xb caches the fused execution form of each block, translated on first
-	// fused entry (see bbcache.go). It is invalidated whenever resolveHooks
-	// rebinds hook sites, so a translation can never outlive the hook table
-	// it captured.
+	// xb caches the execution form of each block, translated on first entry
+	// (see bbcache.go). It is invalidated whenever resolveHooks rebinds hook
+	// sites, so a translation can never outlive the hook table it captured.
 	xb []*xblock
 	// regReads counts, per register, the static read sites across the whole
 	// function; the translator's constant folding may elide a constant's
@@ -263,22 +241,18 @@ type Machine struct {
 	// hooksDirty marks that Register calls since the last Run have not yet
 	// been resolved into the decoded instruction stream.
 	hooksDirty bool
-	// fast selects the fused block-cache step loop (stepfused.go); when
-	// false every instruction goes through the per-instruction reference
-	// interpreter. Set per Run from the configuration (see Run).
-	fast bool
-	// noPf caches Config.DisablePrefetch for the step loops.
+	// noPf caches Config.DisablePrefetch for the step loop.
 	noPf bool
-	// intr caches Config.Interrupt for the step loops.
+	// intr caches Config.Interrupt for the step loop.
 	intr <-chan struct{}
-	// pairs caches Config.PairProfile for the reference loop.
+	// pairs caches Config.PairProfile for the step loop.
 	pairs *PairProfile
-	// pf caches Config.HWPrefetch for the reference loop.
+	// pf caches Config.HWPrefetch for the step loop.
 	pf HWPrefetcher
 	// lanes is the runtime state of Config.Lanes (nil without lanes).
 	lanes []lane
-	// pollMark is the last Instrs>>16 epoch at which the fused loop polled
-	// Interrupt; the reference loop polls on exact 64Ki boundaries instead.
+	// pollMark is the last Instrs>>16 epoch at which the step loop polled
+	// Interrupt.
 	pollMark uint64
 	// refBuf is the scratch reference batch the fused load+store
 	// superinstruction hands to cache.Hierarchy.Batch (reused to keep the
@@ -308,19 +282,15 @@ var ErrMaxDepth = errors.New("machine: call stack overflow")
 // for further Runs after an interrupt.
 var ErrInterrupted = errors.New("machine: execution interrupted")
 
-// interruptMask gates how often the step loops poll Config.Interrupt: every
-// 64Ki instructions, a few microseconds of real time, so cancellation is
-// prompt without a per-instruction channel operation.
-const interruptMask = 1<<16 - 1
-
 // New creates a machine for prog, configured by functional options:
 //
 //	m, err := machine.New(prog, machine.WithSelfCheck(), machine.WithObs(col))
 //
 // A full Config can be installed wholesale with WithConfig (typically first,
 // with further options layered on top). The program must pass
-// ir.VerifyProgram; hooks referenced by OpHook instructions must be
-// registered with Register before Run.
+// ir.VerifyProgram and use only opcodes the machine implements; hooks
+// referenced by OpHook instructions must be registered with Register before
+// Run.
 func New(prog *ir.Program, opts ...Option) (*Machine, error) {
 	var cfg Config
 	for _, o := range opts {
@@ -364,7 +334,9 @@ func New(prog *ir.Program, opts ...Option) (*Machine, error) {
 		m.codes[name] = m.decodeShell(name, f)
 	}
 	for _, f := range prog.Funcs {
-		m.decodeBody(f)
+		if err := m.decodeBody(f); err != nil {
+			return nil, err
+		}
 	}
 	return m, nil
 }
@@ -377,7 +349,7 @@ func (m *Machine) decodeShell(name string, f *ir.Function) *code {
 	return c
 }
 
-func (m *Machine) decodeBody(f *ir.Function) {
+func (m *Machine) decodeBody(f *ir.Function) error {
 	c := m.codes[f.Name]
 	// Block targets are resolved through a local position map rather than
 	// ir.Function.Renumber: the program may be shared by several machines
@@ -392,6 +364,10 @@ func (m *Machine) decodeBody(f *ir.Function) {
 		c.blockNames[bi] = b.Name
 		dl := make([]decoded, len(b.Instrs))
 		for ii, in := range b.Instrs {
+			if in.Op > ir.OpHook {
+				return fmt.Errorf("machine: unimplemented opcode %s (instruction %d of %s/%s)",
+					in.Op, ii, f.Name, b.Name)
+			}
 			d := decoded{
 				op:       in.Op,
 				dst:      int32(in.Dst),
@@ -424,7 +400,7 @@ func (m *Machine) decodeBody(f *ir.Function) {
 			if in.Op == ir.OpLoad {
 				d.loadSlot = int32(len(c.loadIDs))
 				c.loadIDs = append(c.loadIDs, in.ID)
-				d.pc = loadPC(f.Name, in.ID)
+				c.loadPCs = append(c.loadPCs, loadPC(f.Name, in.ID))
 			}
 			if in.Op == ir.OpPrefetch {
 				d.pfClass = uint8(obsClassOf(in))
@@ -437,6 +413,7 @@ func (m *Machine) decodeBody(f *ir.Function) {
 		c.blocks[bi] = dl
 	}
 	c.loadCount = make([]uint64, len(c.loadIDs))
+	return nil
 }
 
 // Register installs hook fn under id. Registering id twice replaces the
@@ -445,22 +422,21 @@ func (m *Machine) decodeBody(f *ir.Function) {
 //
 // The next-Run boundary is a hard contract, pinned by a regression test: a
 // Register call made while a Run is in progress (for example from inside
-// another hook) has NO effect on the current run — not even for blocks the
-// run has not yet entered. Both step loops depend on this. The reference
-// interpreter executes the hook pointers resolveHooks bound before the run
-// started; the fused fast path additionally translates blocks lazily on
-// first entry and copies those same bound pointers into its block cache, so
-// a mid-run rebinding that took effect for not-yet-entered blocks would make
-// the two loops diverge on which hook a site calls. Deferring to the next
-// Run keeps both loops sound: resolveHooks rebinds every site and
-// invalidates every cached block translation before the program restarts.
+// another hook) has NO effect on the current run — not even for functions
+// the run has not yet entered. The step loop translates functions lazily on
+// first entry and copies the hook pointers resolveHooks bound before the run
+// started into its block cache, so a mid-run rebinding that took effect for
+// not-yet-translated code would make a site's hook depend on when its
+// function was first called. Deferring to the next Run keeps translation
+// sound: resolveHooks rebinds every site and invalidates every cached block
+// translation before the program restarts.
 func (m *Machine) Register(id int64, fn HookFunc) {
 	m.hooks[id] = fn
 	m.hooksDirty = true
 }
 
 // resolveHooks binds every OpHook site to its registered HookFunc so the
-// step loops skip the per-call map lookup. An unregistered hook ID is
+// step loop skips the per-call map lookup. An unregistered hook ID is
 // reported up front — naming the hook, function and instruction — instead
 // of faulting mid-simulation. Functions are visited in sorted order so the
 // error is deterministic.
@@ -488,7 +464,7 @@ func (m *Machine) resolveHooks() error {
 		}
 	}
 	// Rebinding orphans any cached block translations: they hold the hook
-	// pointers captured at translation time. Drop them so the fused loop
+	// pointers captured at translation time. Drop them so the step loop
 	// retranslates against the new bindings on first entry.
 	for _, name := range names {
 		m.codes[name].xb = nil
@@ -569,7 +545,8 @@ func (m *Machine) LoadCounts() map[LoadKey]uint64 {
 // Under Config.SelfCheck a shadow-model divergence aborts the run: the
 // models panic with a typed divergence value, which Run converts into the
 // returned error (use errors.As with *cache.DivergenceError or
-// *mem.DivergenceError to inspect the event trace).
+// *mem.DivergenceError to inspect the event trace; the cache's carries the
+// diverging access's cycle).
 func (m *Machine) Run() (ret int64, err error) {
 	entry := m.codes[m.prog.Main]
 	if entry == nil {
@@ -590,26 +567,14 @@ func (m *Machine) Run() (ret int64, err error) {
 			switch d := recover().(type) {
 			case nil:
 			case *cache.DivergenceError:
-				ret, err = 0, fmt.Errorf("machine: self-check at cycle %d: %w", m.cycles, d)
+				ret, err = 0, fmt.Errorf("machine: self-check: %w", d)
 			case *mem.DivergenceError:
-				ret, err = 0, fmt.Errorf("machine: self-check at cycle %d: %w", m.cycles, d)
+				ret, err = 0, fmt.Errorf("machine: self-check: %w", d)
 			default:
 				panic(d)
 			}
 		}()
 	}
-	// The fused block-cache loop applies whenever nothing demands exact
-	// per-instruction sequencing at an observation point outside the
-	// machine: instruction tracing and hardware-prefetcher observation see
-	// individual instructions, the shadow models and the effectiveness
-	// collector want the reference access ordering, and pair profiling
-	// measures the unfused instruction stream by definition; lanes fan
-	// every access out from the reference loop. Interrupt
-	// delivery stays on the fast path — the fused loop polls at basic-block
-	// granularity, which is well inside the "few tens of thousands of
-	// instructions" promptness the Interrupt contract promises.
-	m.fast = m.cfg.Trace == nil && m.cfg.HWPrefetch == nil && !m.cfg.SelfCheck &&
-		m.cfg.Obs == nil && m.lanes == nil && m.pairs == nil && !m.cfg.DisableBlockCache
 	m.pollMark = m.stats.Instrs >> 16
 	ret, err = m.call(entry, nil, 0)
 	if err == nil && m.fault != nil {
@@ -664,8 +629,7 @@ func (m *Machine) nextRand() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
-// call executes one function activation, dispatching to the step loop
-// specialized for this run's configuration.
+// call executes one function activation.
 func (m *Machine) call(c *code, args []int64, depth int) (int64, error) {
 	if depth >= m.cfg.MaxDepth {
 		return 0, ErrMaxDepth
@@ -677,233 +641,7 @@ func (m *Machine) call(c *code, args []int64, depth int) (int64, error) {
 			regs[p] = args[i]
 		}
 	}
-	if m.fast {
-		return m.stepFused(c, regs, depth)
-	}
-	return m.stepSlow(c, regs, depth)
-}
-
-// stepSlow is the fully observed, per-instruction interpreter: block by
-// block through refBlock, which emits a trace line per instruction (when
-// Config.Trace is set), feeds demand loads to the hardware prefetcher (when
-// Config.HWPrefetch is set), fans every access out to the lanes (when
-// Config.Lanes is set) and records dynamic opcode pairs (when
-// Config.PairProfile is set). It is the semantic reference the fused fast
-// path (stepfused.go) escapes to and is differentially tested against.
-func (m *Machine) stepSlow(c *code, regs []int64, depth int) (int64, error) {
-	bi := int32(0)
-	for {
-		if int(bi) >= len(c.blocks) {
-			return 0, fmt.Errorf("machine: %s: fell off block list", c.name)
-		}
-		next, ret, done, err := m.refBlock(c, bi, regs, depth)
-		if err != nil {
-			return 0, err
-		}
-		if done {
-			return ret, nil
-		}
-		bi = next
-	}
-}
-
-// refBlock executes block bi of c one instruction at a time until control
-// leaves the block: a branch yields the next block index, a return yields
-// the function result with done set. Its per-instruction semantics — cost
-// charged before the predicate test, budget checked before execution,
-// interrupt polled on exact 64Ki instruction boundaries — define the
-// simulator; the fused fast path must match it bit for bit and uses it
-// directly as the exact-execution escape hatch (blocks it cannot translate,
-// instruction budget nearly exhausted).
-func (m *Machine) refBlock(c *code, bi int32, regs []int64, depth int) (next int32, ret int64, done bool, err error) {
-	blk := c.blocks[bi]
-	ii := 0
-	// prev is the previous opcode dispatched in this block (-1 at entry),
-	// feeding the superinstruction-selection pair profile.
-	prev := int32(-1)
-	for {
-		if ii >= len(blk) {
-			return 0, 0, false, fmt.Errorf("machine: %s: block %d has no terminator", c.name, bi)
-		}
-		d := &blk[ii]
-		ii++
-
-		m.stats.Instrs++
-		if m.stats.Instrs > m.cfg.MaxSteps {
-			return 0, 0, false, ErrMaxSteps
-		}
-		if m.stats.Instrs&interruptMask == 0 && m.intr != nil {
-			select {
-			case <-m.intr:
-				return 0, 0, false, ErrInterrupted
-			default:
-			}
-		}
-		if m.pairs != nil {
-			m.pairs.record(prev, d.op)
-			prev = int32(d.op)
-		}
-		if d.src != nil {
-			fmt.Fprintf(m.cfg.Trace, "%10d %s/%s: %s\n", m.cycles, c.name, c.blockNames[bi], d.src)
-		}
-		m.cycles += uint64(d.cost)
-
-		// Itanium-style predication: a false qualifying predicate squashes
-		// the instruction but it still occupies its slot (charged above).
-		if d.pred >= 0 && regs[d.pred] == 0 {
-			// Squashed terminators would leave the block without control
-			// transfer; the IR builders never predicate terminators, and the
-			// verifier-accepted programs we execute keep that invariant.
-			continue
-		}
-
-		switch d.op {
-		case ir.OpNop:
-		case ir.OpConst:
-			regs[d.dst] = d.imm
-		case ir.OpMov:
-			regs[d.dst] = regs[d.s0]
-		case ir.OpAdd:
-			regs[d.dst] = regs[d.s0] + regs[d.s1]
-		case ir.OpSub:
-			regs[d.dst] = regs[d.s0] - regs[d.s1]
-		case ir.OpMul:
-			regs[d.dst] = regs[d.s0] * regs[d.s1]
-		case ir.OpDiv:
-			if regs[d.s1] == 0 {
-				regs[d.dst] = 0
-			} else {
-				regs[d.dst] = regs[d.s0] / regs[d.s1]
-			}
-		case ir.OpRem:
-			if regs[d.s1] == 0 {
-				regs[d.dst] = 0
-			} else {
-				regs[d.dst] = regs[d.s0] % regs[d.s1]
-			}
-		case ir.OpAnd:
-			regs[d.dst] = regs[d.s0] & regs[d.s1]
-		case ir.OpOr:
-			regs[d.dst] = regs[d.s0] | regs[d.s1]
-		case ir.OpXor:
-			regs[d.dst] = regs[d.s0] ^ regs[d.s1]
-		case ir.OpShl:
-			regs[d.dst] = regs[d.s0] << (uint64(regs[d.s1]) & 63)
-		case ir.OpShr:
-			regs[d.dst] = regs[d.s0] >> (uint64(regs[d.s1]) & 63)
-		case ir.OpAddI:
-			regs[d.dst] = regs[d.s0] + d.imm
-		case ir.OpShlI:
-			regs[d.dst] = regs[d.s0] << (uint64(d.imm) & 63)
-		case ir.OpShrI:
-			regs[d.dst] = regs[d.s0] >> (uint64(d.imm) & 63)
-		case ir.OpAndI:
-			regs[d.dst] = regs[d.s0] & d.imm
-		case ir.OpCmpEQ:
-			regs[d.dst] = b2i(regs[d.s0] == regs[d.s1])
-		case ir.OpCmpNE:
-			regs[d.dst] = b2i(regs[d.s0] != regs[d.s1])
-		case ir.OpCmpLT:
-			regs[d.dst] = b2i(regs[d.s0] < regs[d.s1])
-		case ir.OpCmpLE:
-			regs[d.dst] = b2i(regs[d.s0] <= regs[d.s1])
-		case ir.OpCmpGT:
-			regs[d.dst] = b2i(regs[d.s0] > regs[d.s1])
-		case ir.OpCmpGE:
-			regs[d.dst] = b2i(regs[d.s0] >= regs[d.s1])
-
-		case ir.OpLoad:
-			addr := uint64(regs[d.s0] + d.imm)
-			lat := uint64(m.Hier.Load(addr, m.cycles))
-			if m.lanes != nil {
-				m.laneLoad(d.pc, addr, m.cycles, lat, true)
-			}
-			m.cycles += lat
-			regs[d.dst] = m.Mem.Load(addr)
-			m.stats.LoadRefs++
-			c.loadCount[d.loadSlot]++
-			if m.pf != nil {
-				m.pf.Observe(d.pc, addr, m.Hier, m.cycles)
-			}
-		case ir.OpSpecLoad:
-			// Speculative load: non-faulting and excluded from per-load
-			// reference statistics (it is inserted machinery, not a program
-			// load).
-			addr := uint64(regs[d.s0] + d.imm)
-			lat := uint64(m.Hier.Load(addr, m.cycles))
-			if m.lanes != nil {
-				m.laneLoad(0, addr, m.cycles, lat, false)
-			}
-			m.cycles += lat
-			regs[d.dst] = m.Mem.Load(addr)
-		case ir.OpStore:
-			addr := uint64(regs[d.s0] + d.imm)
-			lat := uint64(m.Hier.Store(addr, m.cycles))
-			if m.lanes != nil {
-				m.laneStore(addr, m.cycles, lat)
-			}
-			m.cycles += lat
-			m.Mem.Store(addr, regs[d.s1])
-			m.stats.StoreRefs++
-		case ir.OpPrefetch:
-			addr := uint64(regs[d.s0] + d.imm)
-			m.stats.PrefetchRefs++
-			// Non-faulting: wild addresses are ignored rather than fetched,
-			// mirroring lfetch semantics on unmapped pages.
-			if !m.noPf && m.Mem.Mapped(addr) {
-				m.Hier.PrefetchClass(addr, m.cycles, obs.Class(d.pfClass))
-				if m.lanes != nil {
-					m.lanePrefetch(addr, m.cycles, obs.Class(d.pfClass))
-				}
-			}
-
-		case ir.OpAlloc:
-			regs[d.dst] = int64(m.Heap.Alloc(regs[d.s0]))
-		case ir.OpRand:
-			bound := regs[d.s0]
-			if bound <= 0 {
-				regs[d.dst] = 0
-			} else {
-				regs[d.dst] = int64(m.nextRand() % uint64(bound))
-			}
-
-		case ir.OpBr:
-			return d.t0, 0, false, nil
-		case ir.OpCondBr:
-			if regs[d.s0] != 0 {
-				return d.t0, 0, false, nil
-			}
-			return d.t1, 0, false, nil
-		case ir.OpRet:
-			if d.s0 >= 0 {
-				return 0, regs[d.s0], true, nil
-			}
-			return 0, 0, true, nil
-
-		case ir.OpCall:
-			if d.callee == nil {
-				return 0, 0, false, fmt.Errorf("machine: call to unknown function")
-			}
-			argv := m.argValues(regs, d.args)
-			rv, err := m.call(d.callee, argv, depth+1)
-			m.releaseArgs(argv)
-			if err != nil {
-				return 0, 0, false, err
-			}
-			if d.dst >= 0 {
-				regs[d.dst] = rv
-			}
-		case ir.OpHook:
-			// d.hook was resolved by resolveHooks before the run started.
-			argv := m.argValues(regs, d.args)
-			m.stats.HookCalls++
-			d.hook(m, argv)
-			m.releaseArgs(argv)
-
-		default:
-			return 0, 0, false, fmt.Errorf("machine: unimplemented opcode %s", d.op)
-		}
-	}
+	return m.stepFused(c, regs, depth)
 }
 
 // argValues copies argument registers into a scratch slice. A tiny

@@ -326,6 +326,25 @@ func TestUnregisteredHookFailsUpfront(t *testing.T) {
 	}
 }
 
+// TestUnknownOpcodeRejected checks that New refuses an opcode the machine
+// does not implement (the verifier accepts any opcode with a valid
+// destination), naming the site, instead of translating it into a no-op.
+func TestUnknownOpcodeRejected(t *testing.T) {
+	b := ir.NewBuilder("main")
+	x := b.Const(1)
+	b.Mov(x, x).Op = ir.OpHook + 1
+	b.Ret(x)
+	p := ir.NewProgram()
+	p.Add(b.Finish())
+	if err := ir.VerifyProgram(p); err != nil {
+		t.Fatalf("verifier rejected the program: %v", err)
+	}
+	_, err := New(p)
+	if err == nil || !strings.Contains(err.Error(), "unimplemented opcode") {
+		t.Fatalf("New err = %v, want an unimplemented-opcode error", err)
+	}
+}
+
 func TestAllocAndRand(t *testing.T) {
 	b := ir.NewBuilder("main")
 	sz := b.Const(64)

@@ -92,15 +92,8 @@ func WithInterrupt(ch <-chan struct{}) Option {
 	return func(c *Config) { c.Interrupt = ch }
 }
 
-// WithDisableBlockCache forces the per-instruction reference interpreter
-// even when the fused block-cache fast path would apply. The differential
-// checkers run both and compare.
-func WithDisableBlockCache() Option {
-	return func(c *Config) { c.DisableBlockCache = true }
-}
-
 // WithPairProfile records the dynamic frequency of adjacent opcode pairs
-// into p (implies the reference interpreter; see Config.PairProfile).
+// into p (the run executes the exact translation; see Config.PairProfile).
 func WithPairProfile(p *PairProfile) Option {
 	return func(c *Config) { c.PairProfile = p }
 }

@@ -19,11 +19,11 @@ type PairCount struct {
 
 // PairProfile records the dynamic frequency of adjacent opcode pairs
 // executed within basic blocks. It is the measurement pass behind the fused
-// fast path's superinstruction selection: run the workloads once with
-// WithPairProfile, rank the pairs, and the handlers in bbcache.go should
-// cover the head of that ranking (cmd/interpbench -pairs automates the
-// sweep; DESIGN.md records the measured distribution the current fusion set
-// was chosen from).
+// translation's superinstruction selection: run the workloads once with
+// WithPairProfile (which executes the exact translation), rank the pairs,
+// and the handlers in bbcache.go should cover the head of that ranking
+// (cmd/interpbench -pairs automates the sweep; DESIGN.md records the
+// measured distribution the current fusion set was chosen from).
 //
 // Pairs are intra-block only — a block's first instruction opens a fresh
 // chain — because superinstructions cannot fuse across a control transfer.

@@ -7,38 +7,44 @@ import (
 	"stridepf/internal/obs"
 )
 
-// stepFused is the block-cache fast path: the function is translated on
-// first entry (bbcache.go) and then executes as pointer-linked fused-form
-// blocks, with the per-instruction overheads charged once per xinstr and
-// the dominant dynamic pairs running as superinstructions. It is selected
-// by Run only when no configuration demands exact per-instruction
-// sequencing at an external observation point (see Run); everything
-// observable — cycles, statistics, registers, memory, per-load counts,
-// error identity — must match the reference interpreter bit for bit, which
-// the tests in fused_test.go and simcheck's fused-differential property
-// enforce.
+// stepFused is the machine's step loop: the function is translated on
+// first entry (bbcache.go) and then executes as pointer-linked blocks, with
+// the per-instruction overheads charged once per xinstr and the dominant
+// dynamic pairs running as superinstructions. Observers attach inside the
+// memory handlers: the hardware prefetcher's Observe after each demand
+// load, the lane fan-out beside every hierarchy access, and the obs
+// collector and shadow models inside the hierarchy and memory themselves.
+// Traced and pair-profiled runs execute the exact translation, which the
+// fused one must match bit for bit — cycles, statistics, registers, memory,
+// per-load counts, error identity — as the tests in fused_test.go and
+// simcheck's fused property enforce.
+//
+// The instruction budget is checked per xinstr. When an xinstr covering
+// several source instructions would cross it, the loop rewinds that xinstr
+// and resumes the block's exact translation at the xinstr's first source
+// instruction, so ErrMaxSteps lands on the exact instruction.
 //
 // The instruction and cycle counters accumulate in locals and are written
 // back to the machine only where something else could read or change them:
-// before a hook runs, before a nested call, around the refBlock escape, and
-// on every return path. The cache hierarchy, flat memory, heap and RNG
-// never read them, so plain memory traffic needs no synchronisation.
+// before a hook runs, before a nested call, and on every return path. The
+// cache hierarchy, flat memory, heap, RNG, prefetchers and lanes never read
+// them, so plain memory traffic needs no synchronisation.
 func (m *Machine) stepFused(c *code, regs []int64, depth int) (int64, error) {
 	if c.xb == nil {
 		m.translateCode(c)
 	}
-	if len(c.xb) == 0 {
-		return 0, fmt.Errorf("machine: %s: fell off block list", c.name)
-	}
 	xb := c.xb[0]
 	instrs := m.stats.Instrs
 	cycles := m.cycles
+	maxSteps := m.cfg.MaxSteps
+	// resume is the xinstr the next block entry starts at: 0, except after
+	// a budget rewind into an exact translation.
+	resume := 0
 blocks:
 	for {
 		// Interrupt delivery at block granularity: poll whenever the 64Ki
-		// instruction epoch has advanced since the last poll (the reference
-		// loop polls on the exact boundary instead; both honour the "few
-		// tens of thousands of instructions" promptness contract).
+		// instruction epoch has advanced since the last poll, well inside the
+		// "few tens of thousands of instructions" promptness contract.
 		if m.intr != nil {
 			if epoch := instrs >> 16; epoch != m.pollMark {
 				m.pollMark = epoch
@@ -50,27 +56,23 @@ blocks:
 				}
 			}
 		}
-		// Escape to the reference interpreter for untranslatable blocks, and
-		// for any block that could cross the instruction budget mid-way —
-		// refBlock delivers ErrMaxSteps on the exact instruction.
-		if xb.interp || instrs > xb.limit {
-			m.stats.Instrs, m.cycles = instrs, cycles
-			next, ret, done, err := m.refBlock(c, xb.bi, regs, depth)
-			instrs, cycles = m.stats.Instrs, m.cycles
-			if err != nil {
-				return 0, err
-			}
-			if done {
-				return ret, nil
-			}
-			xb = c.xb[next]
-			continue
-		}
 
 		ins := xb.ins
+		if resume != 0 {
+			ins, resume = ins[resume:], 0
+		}
 		for i := 0; i < len(ins); i++ {
 			x := &ins[i]
 			instrs += uint64(x.nsrc)
+			if instrs > maxSteps {
+				if x.nsrc == 1 {
+					m.stats.Instrs, m.cycles = instrs, cycles
+					return 0, ErrMaxSteps
+				}
+				instrs -= uint64(x.nsrc)
+				xb, resume = m.exactTwin(c, xb), int(x.src)
+				continue blocks
+			}
 			cycles += uint64(x.cost)
 
 			switch x.kind {
@@ -342,23 +344,41 @@ blocks:
 					continue
 				}
 				addr := uint64(regs[x.s0] + x.imm)
-				cycles += uint64(m.Hier.Load(addr, cycles))
+				lat := uint64(m.Hier.Load(addr, cycles))
+				if m.lanes != nil {
+					m.laneLoad(c.loadPCs[x.loadSlot], addr, cycles, lat, true)
+				}
+				cycles += lat
 				regs[x.dst] = m.Mem.Load(addr)
 				m.stats.LoadRefs++
 				c.loadCount[x.loadSlot]++
+				if m.pf != nil {
+					m.pf.Observe(c.loadPCs[x.loadSlot], addr, m.Hier, cycles)
+				}
 			case xSpecLoad:
+				// Speculative load: non-faulting and excluded from per-load
+				// reference statistics and prefetcher training (it is
+				// inserted machinery, not a program load).
 				if x.pred >= 0 && regs[x.pred] == 0 {
 					continue
 				}
 				addr := uint64(regs[x.s0] + x.imm)
-				cycles += uint64(m.Hier.Load(addr, cycles))
+				lat := uint64(m.Hier.Load(addr, cycles))
+				if m.lanes != nil {
+					m.laneLoad(0, addr, cycles, lat, false)
+				}
+				cycles += lat
 				regs[x.dst] = m.Mem.Load(addr)
 			case xStore:
 				if x.pred >= 0 && regs[x.pred] == 0 {
 					continue
 				}
 				addr := uint64(regs[x.s0] + x.imm)
-				cycles += uint64(m.Hier.Store(addr, cycles))
+				lat := uint64(m.Hier.Store(addr, cycles))
+				if m.lanes != nil {
+					m.laneStore(addr, cycles, lat)
+				}
+				cycles += lat
 				m.Mem.Store(addr, regs[x.s1])
 				m.stats.StoreRefs++
 			case xPrefetch:
@@ -367,16 +387,21 @@ blocks:
 				}
 				addr := uint64(regs[x.s0] + x.imm)
 				m.stats.PrefetchRefs++
+				// Non-faulting: wild addresses are ignored rather than
+				// fetched, mirroring lfetch semantics on unmapped pages.
 				if !m.noPf && m.Mem.Mapped(addr) {
 					m.Hier.PrefetchClass(addr, cycles, obs.Class(x.pfClass))
+					if m.lanes != nil {
+						m.lanePrefetch(addr, cycles, obs.Class(x.pfClass))
+					}
 				}
 
 			case xLoadStore:
 				// The fusion rule guarantees the store operands (s2, s3) do
 				// not read the load destination, so both addresses and the
 				// stored value are computable up front; the batch interleaves
-				// the two fixed costs with the accesses exactly as the
-				// reference loop charges them.
+				// the two fixed costs with the accesses exactly as separate
+				// xLoad and xStore would charge them.
 				la := uint64(regs[x.s0] + x.imm)
 				sa := uint64(regs[x.s2] + x.imm2)
 				sv := regs[x.s3]
@@ -389,12 +414,16 @@ blocks:
 				c.loadCount[x.loadSlot]++
 
 			case xLoadHook:
+				// No lanes here: Run refuses lanes on a program with hooks.
 				addr := uint64(regs[x.s0] + x.imm)
 				cycles++ // load slot
 				cycles += uint64(m.Hier.Load(addr, cycles))
 				regs[x.dst] = m.Mem.Load(addr)
 				m.stats.LoadRefs++
 				c.loadCount[x.loadSlot]++
+				if m.pf != nil {
+					m.pf.Observe(c.loadPCs[x.loadSlot], addr, m.Hier, cycles)
+				}
 				cycles++ // hook slot, charged before the hook runs
 				m.stats.Instrs, m.cycles = instrs, cycles
 				argv := m.argValues(regs, x.args)
@@ -445,6 +474,19 @@ blocks:
 					regs[x.dst] = 0
 				} else {
 					regs[x.dst] = int64(m.nextRand() % uint64(bound))
+				}
+
+			case xTrace:
+				d := &c.blocks[xb.bi][x.src]
+				if m.pairs != nil {
+					prev := int32(-1)
+					if x.src > 0 {
+						prev = int32(c.blocks[xb.bi][x.src-1].op)
+					}
+					m.pairs.record(prev, d.op)
+				}
+				if d.src != nil {
+					fmt.Fprintf(m.cfg.Trace, "%10d %s/%s: %s\n", cycles, c.name, c.blockNames[xb.bi], d.src)
 				}
 			}
 		}

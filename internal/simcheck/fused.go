@@ -1,39 +1,53 @@
 package simcheck
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 
+	"stridepf/internal/hwpf"
 	"stridepf/internal/instrument"
+	"stridepf/internal/ir"
 	"stridepf/internal/irgen"
 	"stridepf/internal/machine"
+	"stridepf/internal/obs"
 	"stridepf/internal/stride"
 )
 
+// exactTranslation selects the machine's exact translation (one source
+// instruction per dispatch) through a throwaway pair profile.
+func exactTranslation() machine.Option { return machine.WithPairProfile(machine.NewPairProfile()) }
+
 // CheckFusedDifferential generates a program from (seed, cfg) and executes
-// it through the interpreter's fused block-cache fast path and through the
-// per-instruction reference interpreter (WithDisableBlockCache). The fused
-// path — block translation, superinstruction fusion, constant folding,
-// batched cache refs — must be observably identical: same result, same
-// statistics (including exact instruction and cycle counts), same final
-// memory image, same per-load reference counts.
+// it through the machine's fused translation and through its exact
+// translation (selected with WithPairProfile). The fused translation —
+// superinstruction fusion, constant folding, batched cache refs — must be
+// observably identical: same result, same statistics (including exact
+// instruction and cycle counts), same final memory image, same per-load
+// reference counts.
 //
-// The check then repeats the comparison on the NaiveAll-instrumented
-// program, where the load+hook superinstruction and the profiling runtime's
-// counter traffic dominate, and additionally requires the collected stride
-// profiles to match record for record.
+// The comparison is repeated three more ways:
+//
+//   - with observers attached on both sides: a seed-drawn enabled hardware
+//     prefetcher, an obs collector and one lane with its own hierarchy,
+//     scheme and collector. The prefetcher counters, the closed collectors
+//     (deep-equal, each reconciled) and the lane's account must match too;
+//   - under a seed-drawn MaxSteps below the program's instruction count:
+//     both sides must stop with ErrMaxSteps on the same instruction, with
+//     the same statistics and memory image;
+//   - on the NaiveAll-instrumented program, where the load+hook
+//     superinstruction and the profiling runtime's counter traffic
+//     dominate; the collected stride profiles must match record for record.
+//
+// Generated programs never place a store right after a load, so the clean,
+// observed and budget comparisons also run on a seed-drawn load+store walk
+// (loadStoreWalk), the shape the fused translation batches.
 func CheckFusedDifferential(seed uint64, cfg irgen.Config) error {
 	prog := irgen.Generate(seed, cfg)
-
-	fused, err := runProg(prog)
-	if err != nil {
-		return fmt.Errorf("fused run: %w", err)
+	if err := fusedMatchesExact("generated", prog, seed); err != nil {
+		return err
 	}
-	ref, err := runProg(prog, machine.WithDisableBlockCache())
-	if err != nil {
-		return fmt.Errorf("reference run: %w", err)
-	}
-	if err := diffRuns("clean", fused, ref); err != nil {
+	if err := fusedMatchesExact("load+store walk", loadStoreWalk(seed), seed); err != nil {
 		return err
 	}
 
@@ -66,40 +80,159 @@ func CheckFusedDifferential(seed uint64, cfg irgen.Config) error {
 	if err != nil {
 		return fmt.Errorf("fused instrumented run: %w", err)
 	}
-	iref, pref, err := runInstr(machine.WithDisableBlockCache())
+	iref, pref, err := runInstr(exactTranslation())
 	if err != nil {
-		return fmt.Errorf("reference instrumented run: %w", err)
+		return fmt.Errorf("exact instrumented run: %w", err)
 	}
 	if err := diffRuns("instrumented", ifused, iref); err != nil {
 		return err
 	}
 	if !reflect.DeepEqual(pfused, pref) {
-		return fmt.Errorf("fused path changed stride profile: fused %d summaries %+v, reference %d summaries %+v",
+		return fmt.Errorf("fused path changed stride profile: fused %d summaries %+v, exact %d summaries %+v",
 			len(pfused), pfused, len(pref), pref)
 	}
 	return nil
 }
 
+// fusedMatchesExact runs the clean, observed and budget comparisons of
+// CheckFusedDifferential on prog, labelling failures with name.
+func fusedMatchesExact(name string, prog *ir.Program, seed uint64) error {
+	fused, err := runProg(prog)
+	if err != nil {
+		return fmt.Errorf("%s: fused run: %w", name, err)
+	}
+	ref, err := runProg(prog, exactTranslation())
+	if err != nil {
+		return fmt.Errorf("%s: exact run: %w", name, err)
+	}
+	if err := diffRuns(name+" clean", fused, ref); err != nil {
+		return err
+	}
+
+	schemes := hwpf.Schemes()
+	scheme, laneScheme := schemes[seed%uint64(len(schemes))], schemes[(seed+1)%uint64(len(schemes))]
+	ofused, err := runObserved(prog, scheme, laneScheme)
+	if err != nil {
+		return fmt.Errorf("%s: fused observed run: %w", name, err)
+	}
+	oref, err := runObserved(prog, scheme, laneScheme, exactTranslation())
+	if err != nil {
+		return fmt.Errorf("%s: exact observed run: %w", name, err)
+	}
+	if err := diffRuns(name+" observed", ofused.runResult, oref.runResult); err != nil {
+		return err
+	}
+	for i := range ofused.accounts {
+		if !reflect.DeepEqual(ofused.accounts[i], oref.accounts[i]) {
+			return fmt.Errorf("%s observed (%s, lane %s): fused path changed memory system %d:\nfused %+v\nexact %+v",
+				name, scheme, laneScheme, i, ofused.accounts[i], oref.accounts[i])
+		}
+	}
+
+	if n := fused.Stats.Instrs; n > 1 {
+		budget := 1 + (seed*0x9E3779B97F4A7C15>>1)%(n-1)
+		bfused, ferr := runProg(prog, machine.WithMaxSteps(budget))
+		bref, rerr := runProg(prog, machine.WithMaxSteps(budget), exactTranslation())
+		if !errors.Is(ferr, machine.ErrMaxSteps) || !errors.Is(rerr, machine.ErrMaxSteps) {
+			return fmt.Errorf("%s: budget %d of %d instructions: fused err=%v, exact err=%v, want ErrMaxSteps",
+				name, budget, n, ferr, rerr)
+		}
+		if err := diffRuns(fmt.Sprintf("%s budget %d", name, budget), bfused, bref); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// loadStoreWalk builds a loop whose body loads a word and stores the
+// running sum into the next one, walking an array with a seed-drawn stride
+// and trip count: a load immediately followed by a store that reads neither
+// operand from it.
+func loadStoreWalk(seed uint64) *ir.Program {
+	b := ir.NewBuilder("main")
+	head, body, exit := b.Block("head"), b.Block("body"), b.Block("exit")
+	p := b.F.NewReg()
+	b.MovConst(p, int64(kernelBase))
+	i := b.F.NewReg()
+	b.MovConst(i, 0)
+	acc := b.F.NewReg()
+	b.MovConst(acc, int64(seed%1024))
+	trip := b.Const(int64(100 + seed%400))
+	b.Br(head)
+	b.At(head)
+	b.CondBr(b.CmpLT(i, trip), body, exit)
+	b.At(body)
+	v := b.Load(p, 0).Dst
+	b.Store(p, 8, acc)
+	b.Mov(acc, b.Add(acc, v))
+	b.AddITo(p, p, kernelStrides[seed%uint64(len(kernelStrides))]*8)
+	b.AddITo(i, i, 1)
+	b.Br(head)
+	b.At(exit)
+	b.Ret(acc)
+	prog := ir.NewProgram()
+	prog.Add(b.Finish())
+	return prog
+}
+
+// observedRun is a run with a hardware prefetcher, an obs collector and one
+// lane attached: the machine's observables plus the primary's and the
+// lane's account (see laneRun).
+type observedRun struct {
+	runResult
+	accounts [2]laneRun
+}
+
+// runObserved executes prog with scheme on the default hierarchy as the
+// primary memory system and laneScheme on the small lane hierarchy as its
+// one lane, each with its own collector, closed and reconciled.
+func runObserved(prog *ir.Program, scheme, laneScheme string, opts ...machine.Option) (observedRun, error) {
+	pcol, lcol := obs.NewCollector(nil), obs.NewCollector(nil)
+	lane := machine.Lane{Hierarchy: laneHierarchies()[1], NewHWPrefetch: schemeFactory(laneScheme), Obs: lcol}
+	opts = append([]machine.Option{machine.WithHWPrefetchFactory(schemeFactory(scheme)),
+		machine.WithObs(pcol), machine.WithLanes(lane)}, opts...)
+	m, err := machine.New(prog, opts...)
+	if err != nil {
+		return observedRun{}, err
+	}
+	ret, err := m.Run()
+	if err != nil {
+		return observedRun{}, err
+	}
+	m.FinishObs()
+	for _, col := range []*obs.Collector{pcol, lcol} {
+		if err := col.Reconcile(); err != nil {
+			return observedRun{}, err
+		}
+	}
+	v := m.Lanes()[0]
+	return observedRun{
+		runResult: runResult{Ret: ret, Stats: m.Stats(), Fingerprint: m.Mem.Fingerprint(), LoadCounts: m.LoadCounts()},
+		accounts: [2]laneRun{accountOf(m.Stats(), m.Hier, m.HWPrefetch(), pcol),
+			accountOf(v.Stats, v.Hier, v.HWPrefetch, lcol)},
+	}, nil
+}
+
 // diffRuns reports the first observable difference between a fused-path run
-// and its reference-path twin.
+// and its exact-translation twin.
 func diffRuns(label string, fused, ref runResult) error {
 	if fused.Ret != ref.Ret {
-		return fmt.Errorf("%s: fused path changed result: fused=%d reference=%d", label, fused.Ret, ref.Ret)
+		return fmt.Errorf("%s: fused path changed result: fused=%d exact=%d", label, fused.Ret, ref.Ret)
 	}
 	if fused.Stats != ref.Stats {
-		return fmt.Errorf("%s: fused path changed statistics: fused=%+v reference=%+v", label, fused.Stats, ref.Stats)
+		return fmt.Errorf("%s: fused path changed statistics: fused=%+v exact=%+v", label, fused.Stats, ref.Stats)
 	}
 	if fused.Fingerprint != ref.Fingerprint {
-		return fmt.Errorf("%s: fused path changed memory: fused=%#x reference=%#x",
+		return fmt.Errorf("%s: fused path changed memory: fused=%#x exact=%#x",
 			label, fused.Fingerprint, ref.Fingerprint)
 	}
 	if len(fused.LoadCounts) != len(ref.LoadCounts) {
-		return fmt.Errorf("%s: fused path changed load set: fused=%d loads, reference=%d loads",
+		return fmt.Errorf("%s: fused path changed load set: fused=%d loads, exact=%d loads",
 			label, len(fused.LoadCounts), len(ref.LoadCounts))
 	}
 	for k, c := range fused.LoadCounts {
 		if ref.LoadCounts[k] != c {
-			return fmt.Errorf("%s: fused path changed load count of %s#%d: fused=%d reference=%d",
+			return fmt.Errorf("%s: fused path changed load count of %s#%d: fused=%d exact=%d",
 				label, k.Func, k.ID, c, ref.LoadCounts[k])
 		}
 	}

@@ -16,11 +16,9 @@ import (
 //     Config.Disabled observes the full demand-load stream and advances
 //     its state machines but issues nothing; the run must be bit-identical
 //     to the baseline in every respect *including the cycle count*.
-//     Because attaching any prefetcher forces the per-instruction
-//     reference interpreter, this also re-pins the fused block-cache
-//     fallback rule: the fast path the baseline took and the slow path the
-//     observed run took must agree exactly (the fused differential
-//     property's oracle, reused).
+//     (An attached prefetcher also stops the translator from batching
+//     load+store pairs; generated programs have none, so
+//     CheckFusedDifferential's load+store walk pins that instead.)
 //  2. Architecturally invisible when enabled: with the scheme actually
 //     issuing prefetches, only cycle counts may change — results, final
 //     memory image, instruction counts and per-load reference counts must

@@ -32,6 +32,18 @@ func laneHierarchies() []cache.HierarchyConfig {
 	return []cache.HierarchyConfig{cache.ItaniumConfig(), small, tlb}
 }
 
+// schemeFactory returns a factory for an enabled scheme's prefetcher, or
+// nil for the empty scheme (no prefetcher).
+func schemeFactory(scheme string) func() machine.HWPrefetcher {
+	if scheme == "" {
+		return nil
+	}
+	return func() machine.HWPrefetcher {
+		p, _ := hwpf.NewScheme(scheme, hwpf.Config{})
+		return p
+	}
+}
+
 // laneRun is one memory system's observable account of a run: machine
 // statistics (its own cycles), hierarchy counters, scheme counters and the
 // closed collector.
@@ -74,21 +86,11 @@ func CheckLanes(seed uint64, cfg irgen.Config) error {
 			cfgs = append(cfgs, config{hier: h, scheme: s})
 		}
 	}
-	factory := func(scheme string) func() machine.HWPrefetcher {
-		if scheme == "" {
-			return nil
-		}
-		return func() machine.HWPrefetcher {
-			p, _ := hwpf.NewScheme(scheme, hwpf.Config{})
-			return p
-		}
-	}
-
 	want := make([]laneRun, len(cfgs))
 	for i, c := range cfgs {
 		col := obs.NewCollector(nil)
 		m, err := machine.New(prog, machine.WithHierarchy(c.hier),
-			machine.WithHWPrefetchFactory(factory(c.scheme)), machine.WithObs(col))
+			machine.WithHWPrefetchFactory(schemeFactory(c.scheme)), machine.WithObs(col))
 		if err != nil {
 			return err
 		}
@@ -107,7 +109,7 @@ func CheckLanes(seed uint64, cfg irgen.Config) error {
 		var lanes []machine.Lane
 		for _, c := range cfgs[1:] {
 			lanes = append(lanes, machine.Lane{Hierarchy: c.hier,
-				NewHWPrefetch: factory(c.scheme), Obs: obs.NewCollector(nil)})
+				NewHWPrefetch: schemeFactory(c.scheme), Obs: obs.NewCollector(nil)})
 		}
 		opts := []machine.Option{machine.WithHierarchy(cfgs[0].hier), machine.WithObs(pcol), machine.WithLanes(lanes...)}
 		if checked {

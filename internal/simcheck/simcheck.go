@@ -50,22 +50,21 @@ type runResult struct {
 	LoadCounts  map[machine.LoadKey]uint64
 }
 
-// runProg executes prog (which must define a parameterless main) under cfg.
+// runProg executes prog (which must define a parameterless main) under
+// opts. When Run fails the result still describes the machine as the run
+// left it, so differential checks can compare aborted runs too.
 func runProg(prog *ir.Program, opts ...machine.Option) (runResult, error) {
 	m, err := machine.New(prog, opts...)
 	if err != nil {
 		return runResult{}, err
 	}
 	ret, err := m.Run()
-	if err != nil {
-		return runResult{}, err
-	}
 	return runResult{
 		Ret:         ret,
 		Stats:       m.Stats(),
 		Fingerprint: m.Mem.Fingerprint(),
 		LoadCounts:  m.LoadCounts(),
-	}, nil
+	}, err
 }
 
 // CheckShadowLockstep generates a program from (seed, cfg) and executes it
