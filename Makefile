@@ -31,8 +31,11 @@ check-deep: check
 	$(MAKE) paths
 	$(MAKE) smoke-serve
 
+# gofmt -l lists every file whose formatting differs; any output fails.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

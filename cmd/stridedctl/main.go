@@ -129,7 +129,7 @@ func run(argv []string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			info, err := fleet.UploadShard(ctx, workload, config, prof)
+			info, err := fleet.For(workload, config).UploadShard(ctx, workload, config, prof)
 			if err != nil {
 				return err
 			}
@@ -176,7 +176,7 @@ func run(argv []string, out io.Writer) error {
 		if len(rest) != 2 && len(rest) != 3 {
 			return fmt.Errorf("usage: stridedctl pull <workload> <config> [out.json]")
 		}
-		prof, version, err := fleet.FetchProfile(ctx, rest[0], rest[1])
+		prof, version, err := fleet.For(rest[0], rest[1]).FetchProfile(ctx, rest[0], rest[1])
 		if err != nil {
 			return err
 		}
@@ -233,7 +233,7 @@ func run(argv []string, out io.Writer) error {
 		if len(rest) != 2 {
 			return fmt.Errorf("usage: stridedctl classify <workload> <config>")
 		}
-		rep, err := fleet.Classify(ctx, rest[0], rest[1])
+		rep, err := fleet.For(rest[0], rest[1]).Classify(ctx, rest[0], rest[1])
 		if err != nil {
 			return err
 		}
@@ -271,9 +271,12 @@ func run(argv []string, out io.Writer) error {
 				return fmt.Errorf("-measure needs a locally registered workload; %q is not", workload)
 			}
 		}
+		// The owning node is the only one whose watcher sees the
+		// aggregate's uploads.
+		owner := fleet.For(workload, config)
 		seen := 0
 		errDone := errors.New("watch budget reached")
-		err = fleet.Subscribe(ctx, workload, config, *from, func(d api.PlanDelta) error {
+		err = owner.Subscribe(ctx, workload, config, *from, func(d api.PlanDelta) error {
 			kind := "delta"
 			if d.Reset {
 				kind = "reset"
@@ -289,7 +292,7 @@ func run(argv []string, out io.Writer) error {
 					fmt.Sprintf("%s#%d", ch.Func, ch.ID), ch.Class, ch.Stride, ch.K, prev)
 			}
 			if *measure {
-				prof, _, err := fleet.FetchProfile(ctx, workload, config)
+				prof, _, err := owner.FetchProfile(ctx, workload, config)
 				if err != nil {
 					return err
 				}
@@ -297,7 +300,7 @@ func run(argv []string, out io.Writer) error {
 				if err != nil {
 					return err
 				}
-				ack, err := fleet.PlanFeedback(ctx, api.PlanFeedback{
+				ack, err := owner.PlanFeedback(ctx, api.PlanFeedback{
 					Workload: workload, Config: config, Epoch: d.Epoch,
 					Speedup:          sp.Speedup,
 					BaseCycles:       sp.Base.Stats.Cycles,

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"stridepf/internal/api"
-	"stridepf/internal/profile"
 	"stridepf/internal/ring"
 )
 
@@ -14,8 +12,9 @@ import (
 // consistent hashing: every (workload, config) aggregate lives on exactly
 // one node — the owner of its ring key — so producers spread over the
 // fleet, and any independently configured Fleet with the same member list
-// agrees on who owns what. Keyed calls (upload, fetch, classify) go to the
-// owner; unkeyed calls (list, health) fan out.
+// agrees on who owns what. It holds only the cross-node operations:
+// keyed calls (upload, fetch, classify, plan) go to the owner's client,
+// For(workload, config); batches split by owner; list and health fan out.
 //
 // Each node gets its own resilient Client, so per-node failures retry and
 // break circuits independently — a dead node does not slow traffic to the
@@ -29,7 +28,7 @@ type Fleet struct {
 // every per-node client; its BaseURL field is ignored. A single-element
 // fleet behaves exactly like a plain Client with extra routing arithmetic.
 func NewFleet(cfg Config, servers []string) (*Fleet, error) {
-	r, err := ring.New(servers, 0)
+	r, err := ring.New(servers)
 	if err != nil {
 		return nil, fmt.Errorf("client: fleet: %w", err)
 	}
@@ -60,18 +59,6 @@ func (f *Fleet) Node(name string) *Client { return f.clients[name] }
 // For returns the client owning the (workload, config) aggregate.
 func (f *Fleet) For(workload, config string) *Client {
 	return f.clients[f.Owner(workload, config)]
-}
-
-// UploadShard uploads one shard to its owning node under a fresh
-// idempotency key.
-func (f *Fleet) UploadShard(ctx context.Context, workload, config string, prof *profile.Combined) (ProfileInfo, error) {
-	return f.For(workload, config).UploadShard(ctx, workload, config, prof)
-}
-
-// UploadShardKeyed uploads one shard to its owning node under the caller's
-// idempotency key.
-func (f *Fleet) UploadShardKeyed(ctx context.Context, workload, config string, prof *profile.Combined, key string) (ProfileInfo, error) {
-	return f.For(workload, config).UploadShardKeyed(ctx, workload, config, prof, key)
 }
 
 // UploadBatch splits the batch by owning node, sends one sub-batch per
@@ -116,33 +103,6 @@ func (f *Fleet) UploadBatch(ctx context.Context, shards []BatchShard) ([]BatchRe
 		}
 	}
 	return results, nil
-}
-
-// FetchProfile downloads the merged aggregate from its owning node.
-func (f *Fleet) FetchProfile(ctx context.Context, workload, config string) (*profile.Combined, int, error) {
-	return f.For(workload, config).FetchProfile(ctx, workload, config)
-}
-
-// Classify runs the server-side classification on the owning node (the
-// only node holding the aggregate).
-func (f *Fleet) Classify(ctx context.Context, workload, config string) (*ClassifyReport, error) {
-	return f.For(workload, config).Classify(ctx, workload, config)
-}
-
-// Subscribe streams plan deltas from the node owning the (workload,
-// config) aggregate — the only node whose watcher sees its uploads.
-func (f *Fleet) Subscribe(ctx context.Context, workload, config string, from uint64, deliver func(api.PlanDelta) error) error {
-	return f.For(workload, config).Subscribe(ctx, workload, config, from, deliver)
-}
-
-// PlanStatus fetches the plan watcher state from the owning node.
-func (f *Fleet) PlanStatus(ctx context.Context, workload, config string) (api.PlanStatus, error) {
-	return f.For(workload, config).PlanStatus(ctx, workload, config)
-}
-
-// PlanFeedback reports a consumer outcome to the owning node.
-func (f *Fleet) PlanFeedback(ctx context.Context, fb api.PlanFeedback) (api.PlanFeedbackAck, error) {
-	return f.For(fb.Workload, fb.Config).PlanFeedback(ctx, fb)
 }
 
 // ListProfiles fans out to every node and returns the union sorted by

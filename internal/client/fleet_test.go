@@ -59,7 +59,7 @@ func TestFleetRoutesToRingOwner(t *testing.T) {
 
 	// Spread aggregates across configs until every node owns at least one,
 	// verifying each upload landed exactly where the ring says.
-	r, err := ring.New(f.Nodes(), 0)
+	r, err := ring.New(f.Nodes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestFleetRoutesToRingOwner(t *testing.T) {
 		if want := r.Owner(ring.Key("197.parser", config)); owner != want {
 			t.Fatalf("fleet owner %q disagrees with ring owner %q", owner, want)
 		}
-		if _, err := f.UploadShard(ctx, "197.parser", config, fleetShard(int64(i+1))); err != nil {
+		if _, err := f.For("197.parser", config).UploadShard(ctx, "197.parser", config, fleetShard(int64(i+1))); err != nil {
 			t.Fatalf("upload cfg-%d: %v", i, err)
 		}
 		owned[owner]++
@@ -90,7 +90,7 @@ func TestFleetRoutesToRingOwner(t *testing.T) {
 	}
 
 	// Keyed reads route to the same owner.
-	prof, version, err := f.FetchProfile(ctx, "197.parser", "cfg-0")
+	prof, version, err := f.For("197.parser", "cfg-0").FetchProfile(ctx, "197.parser", "cfg-0")
 	if err != nil || version != 1 {
 		t.Fatalf("fetch via fleet: version=%d err=%v", version, err)
 	}
@@ -179,10 +179,10 @@ func TestFleetSingleNodeDegeneratesToClient(t *testing.T) {
 	if got := f.Owner("197.parser", "x"); got != f.Nodes()[0] {
 		t.Fatalf("single-node owner = %q, want the only node", got)
 	}
-	if _, err := f.UploadShard(ctx, "197.parser", "x", fleetShard(4)); err != nil {
+	if _, err := f.For("197.parser", "x").UploadShard(ctx, "197.parser", "x", fleetShard(4)); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := f.Classify(ctx, "197.parser", "x")
+	rep, err := f.For("197.parser", "x").Classify(ctx, "197.parser", "x")
 	if err != nil || rep.Shards != 1 {
 		t.Fatalf("classify via fleet: %+v err=%v", rep, err)
 	}

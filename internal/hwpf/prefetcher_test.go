@@ -108,11 +108,11 @@ func TestPredictTargetBoundaries(t *testing.T) {
 	}{
 		{0x1000, 64, true},
 		{0x1000, -64, true},
-		{0x100, -0x100, false}, // lands exactly on 0
-		{0x100, -0x101, false}, // crosses 0
-		{0x100, -0xff, true},   // stops at 1
-		{^uint64(0) - 63, 64, false},  // crosses the top
-		{^uint64(0) - 64, 64, true},   // lands on the last byte
+		{0x100, -0x100, false},       // lands exactly on 0
+		{0x100, -0x101, false},       // crosses 0
+		{0x100, -0xff, true},         // stops at 1
+		{^uint64(0) - 63, 64, false}, // crosses the top
+		{^uint64(0) - 64, 64, true},  // lands on the last byte
 		{0, 64, true},
 	}
 	for _, tc := range cases {

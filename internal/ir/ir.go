@@ -218,25 +218,6 @@ func NewInstr(op Opcode) *Instr {
 	return &Instr{Op: op, Dst: NoReg, Src: [2]Reg{NoReg, NoReg}, Pred: NoReg}
 }
 
-// UsedRegs appends every register read by the instruction to out and returns
-// the extended slice. The qualifying predicate counts as a use.
-func (in *Instr) UsedRegs(out []Reg) []Reg {
-	if in.Pred.Valid() {
-		out = append(out, in.Pred)
-	}
-	for _, s := range in.Src {
-		if s.Valid() {
-			out = append(out, s)
-		}
-	}
-	for _, a := range in.Args {
-		if a.Valid() {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // Defines reports whether the instruction writes register r.
 func (in *Instr) Defines(r Reg) bool {
 	return in.Dst.Valid() && in.Dst == r

@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"io"
-
 	"stridepf/internal/cache"
 	"stridepf/internal/obs"
 )
@@ -29,24 +27,9 @@ func WithHierarchy(h cache.HierarchyConfig) Option {
 	return func(c *Config) { c.Hierarchy = h }
 }
 
-// WithHeap bounds the simulated heap.
-func WithHeap(base, size uint64) Option {
-	return func(c *Config) { c.HeapBase, c.HeapSize = base, size }
-}
-
 // WithMaxSteps aborts runaway programs after n instructions.
 func WithMaxSteps(n uint64) Option {
 	return func(c *Config) { c.MaxSteps = n }
-}
-
-// WithMaxDepth bounds the call stack.
-func WithMaxDepth(n int) Option {
-	return func(c *Config) { c.MaxDepth = n }
-}
-
-// WithSeed seeds the OpRand generator.
-func WithSeed(seed uint64) Option {
-	return func(c *Config) { c.Seed = seed }
 }
 
 // WithHWPrefetch attaches a hardware prefetcher model observing the demand
@@ -73,11 +56,6 @@ func WithSelfCheck() Option {
 // (differential checkers use it to assert prefetch neutrality).
 func WithDisablePrefetch() Option {
 	return func(c *Config) { c.DisablePrefetch = true }
-}
-
-// WithTrace streams one line per executed instruction to w.
-func WithTrace(w io.Writer) Option {
-	return func(c *Config) { c.Trace = w }
 }
 
 // WithObs attaches a prefetch-effectiveness collector (see package obs).

@@ -172,9 +172,6 @@ func (h *Heap) AllocGap(size int64) {
 	h.next += sz
 }
 
-// Used returns the number of bytes allocated (including gaps).
-func (h *Heap) Used() uint64 { return h.next - h.base }
-
 // Next returns the next allocation address (for tests asserting layout).
 func (h *Heap) Next() uint64 { return h.next }
 

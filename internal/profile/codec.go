@@ -22,55 +22,33 @@ const (
 	VersionCurrent = 3
 )
 
-// Codec serialises and deserialises combined profiles at a pinned format
-// version. The zero value encodes VersionCurrent and decodes every
-// supported version, which is what all the tools want; pin Version to
-// VersionLegacy only to produce files for pre-v2 readers.
+// Codec serialises combined profiles at VersionCurrent and deserialises
+// every supported version: older profile files and WAL records written
+// before v3 must still load.
 //
 // Decode enforces the fine-interval consistency rule that Merge enforces
 // across runs, but within a single file and at read time: every summary
 // sampled by the runtime must carry the same interval, and under v2 that
 // interval must match the header. A corrupted or hand-spliced profile
 // therefore fails at the I/O boundary instead of skewing a later merge.
-type Codec struct {
-	// Version is the format written by Encode; zero means VersionCurrent.
-	Version int
-}
+type Codec struct{}
 
 // DefaultCodec is the codec the package-level Write/Read/Save/Load helpers
 // and the cmd tools use.
 var DefaultCodec = Codec{}
 
-// Encode serialises p as JSON at the codec's version.
-func (c Codec) Encode(w io.Writer, p *Combined) error {
-	v := c.Version
-	if v == 0 {
-		v = VersionCurrent
-	}
-	if v != VersionLegacy && v != VersionV2 && v != VersionCurrent {
-		return fmt.Errorf("profile: encode: unsupported version %d", v)
-	}
-	if v < VersionCurrent {
-		for _, s := range p.Stride.Summaries() {
-			if len(s.Paths) > 0 {
-				return fmt.Errorf(
-					"profile: encode: version %d cannot carry the path buckets of load %s#%d",
-					v, s.Key.Func, s.Key.ID)
-			}
-		}
-	}
+// Encode serialises p as JSON at VersionCurrent.
+func (Codec) Encode(w io.Writer, p *Combined) error {
 	fi, err := fineInterval(p)
 	if err != nil {
 		return fmt.Errorf("profile: encode: %w", err)
 	}
 	ff := fileFormat{
-		Version: v,
-		Edges:   p.Edge.Edges(),
-		Entries: p.Edge.entries,
-		Strides: p.Stride.Summaries(),
-	}
-	if v >= VersionV2 {
-		ff.FineInterval = fi
+		Version:      VersionCurrent,
+		FineInterval: fi,
+		Edges:        p.Edge.Edges(),
+		Entries:      p.Edge.entries,
+		Strides:      p.Stride.Summaries(),
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -79,7 +57,7 @@ func (c Codec) Encode(w io.Writer, p *Combined) error {
 
 // Decode deserialises a combined profile, accepting any supported version
 // and validating fine-interval consistency.
-func (c Codec) Decode(r io.Reader) (*Combined, error) {
+func (Codec) Decode(r io.Reader) (*Combined, error) {
 	var ff fileFormat
 	if err := json.NewDecoder(r).Decode(&ff); err != nil {
 		return nil, fmt.Errorf("profile: decode: %w", err)

@@ -5,20 +5,19 @@ import (
 	"testing"
 )
 
-// fuzzSeeds renders the codec fixture at every supported version so the
-// fuzzer starts from well-formed inputs and mutates toward the
-// interesting edges (truncated headers, version skew, corrupt counters)
-// instead of spending its budget rediscovering the JSON envelope.
+// fuzzSeeds renders the codec fixture as a v1 file and at the current
+// version so the fuzzer starts from well-formed inputs and mutates toward
+// the interesting edges (truncated headers, version skew, corrupt
+// counters) instead of spending its budget rediscovering the JSON
+// envelope.
 func fuzzSeeds(f *testing.F) [][]byte {
 	f.Helper()
-	var seeds [][]byte
-	for _, v := range []int{VersionLegacy, VersionCurrent} {
-		var buf bytes.Buffer
-		if err := (Codec{Version: v}).Encode(&buf, codecFixture(4)); err != nil {
-			f.Fatal(err)
-		}
-		seeds = append(seeds, bytes.Clone(buf.Bytes()))
+	seeds := [][]byte{[]byte(v1Fixture)}
+	var cur bytes.Buffer
+	if err := DefaultCodec.Encode(&cur, codecFixture(4)); err != nil {
+		f.Fatal(err)
 	}
+	seeds = append(seeds, bytes.Clone(cur.Bytes()))
 	var empty bytes.Buffer
 	if err := DefaultCodec.Encode(&empty, &Combined{Edge: NewEdgeProfile(), Stride: NewStrideProfile(nil)}); err != nil {
 		f.Fatal(err)

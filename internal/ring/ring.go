@@ -9,8 +9,8 @@
 // new owner.
 //
 // The ring is deterministic: it depends only on the node names (order
-// insensitive) and the virtual-node count, so independently configured
-// clients agree on ownership as long as they agree on the member list.
+// insensitive), so independently configured clients agree on ownership as
+// long as they agree on the member list.
 package ring
 
 import (
@@ -19,10 +19,10 @@ import (
 	"sort"
 )
 
-// DefaultVirtualNodes is the per-node virtual point count. 128 points per
-// node keeps the max/mean arc ratio under ~1.3 for small fleets, which is
+// virtualNodes is the per-node virtual point count. 128 points per node
+// keeps the max/mean arc ratio under ~1.3 for small fleets, which is
 // plenty for tens of nodes; raise it only if the fleet grows past that.
-const DefaultVirtualNodes = 128
+const virtualNodes = 128
 
 // Ring maps string keys onto a fixed member list by consistent hashing.
 // It is immutable after New and therefore safe for concurrent use.
@@ -42,14 +42,10 @@ type point struct {
 // distinct (workload, config) pairs never collide.
 func Key(workload, config string) string { return workload + "|" + config }
 
-// New builds a ring over the given nodes with virtualPerNode points each
-// (0 selects DefaultVirtualNodes). Node names are deduplicated; order does
-// not matter. An empty node list is an error — the caller must know its
-// fleet.
-func New(nodes []string, virtualPerNode int) (*Ring, error) {
-	if virtualPerNode <= 0 {
-		virtualPerNode = DefaultVirtualNodes
-	}
+// New builds a ring over the given nodes with virtualNodes points each.
+// Node names are deduplicated; order does not matter. An empty node list
+// is an error — the caller must know its fleet.
+func New(nodes []string) (*Ring, error) {
 	seen := make(map[string]bool, len(nodes))
 	uniq := make([]string, 0, len(nodes))
 	for _, n := range nodes {
@@ -65,9 +61,9 @@ func New(nodes []string, virtualPerNode int) (*Ring, error) {
 		return nil, fmt.Errorf("ring: no nodes")
 	}
 	sort.Strings(uniq)
-	r := &Ring{nodes: uniq, points: make([]point, 0, len(uniq)*virtualPerNode)}
+	r := &Ring{nodes: uniq, points: make([]point, 0, len(uniq)*virtualNodes)}
 	for ni, n := range uniq {
-		for v := 0; v < virtualPerNode; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			r.points = append(r.points, point{hash: hash64(fmt.Sprintf("%s#%d", n, v)), node: ni})
 		}
 	}
@@ -105,26 +101,6 @@ func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
 // from the key's hash.
 func (r *Ring) Owner(key string) string {
 	return r.nodes[r.points[r.search(key)].node]
-}
-
-// Owners returns up to n distinct nodes for key in ring order: the owner
-// first, then the successive distinct successors. Replicated deployments
-// write to Owners(key, R); this repo's fleet uses R=1 but the walk is the
-// natural extension point.
-func (r *Ring) Owners(key string, n int) []string {
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
-	out := make([]string, 0, n)
-	seen := make(map[int]bool, n)
-	for i := r.search(key); len(out) < n; i = (i + 1) % len(r.points) {
-		p := r.points[i]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, r.nodes[p.node])
-		}
-	}
-	return out
 }
 
 // search returns the index of the first point at or after the key's hash,

@@ -14,11 +14,11 @@ func keys(n int) []string {
 }
 
 func TestOwnerDeterministicAndOrderInsensitive(t *testing.T) {
-	a, err := New([]string{"n1:8471", "n2:8471", "n3:8471"}, 0)
+	a, err := New([]string{"n1:8471", "n2:8471", "n3:8471"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New([]string{"n3:8471", "n1:8471", "n2:8471", "n2:8471"}, 0)
+	b, err := New([]string{"n3:8471", "n1:8471", "n2:8471", "n2:8471"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestOwnerDeterministicAndOrderInsensitive(t *testing.T) {
 
 func TestBalance(t *testing.T) {
 	nodes := []string{"a", "b", "c", "d", "e"}
-	r, err := New(nodes, 0)
+	r, err := New(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +54,11 @@ func TestBalance(t *testing.T) {
 // a fleet of N moves roughly 1/(N+1) of the keys and never moves a key
 // between two surviving nodes.
 func TestMinimalRemap(t *testing.T) {
-	old, err := New([]string{"a", "b", "c", "d"}, 0)
+	old, err := New([]string{"a", "b", "c", "d"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grown, err := New([]string{"a", "b", "c", "d", "e"}, 0)
+	grown, err := New([]string{"a", "b", "c", "d", "e"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,32 +83,11 @@ func TestMinimalRemap(t *testing.T) {
 	}
 }
 
-func TestOwnersDistinctInRingOrder(t *testing.T) {
-	r, err := New([]string{"a", "b", "c"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys(100) {
-		owners := r.Owners(k, 2)
-		if len(owners) != 2 || owners[0] == owners[1] {
-			t.Fatalf("Owners(%q, 2) = %v", k, owners)
-		}
-		if owners[0] != r.Owner(k) {
-			t.Fatalf("Owners(%q)[0] = %q, Owner = %q", k, owners[0], r.Owner(k))
-		}
-		// Asking for more replicas than members returns every member once.
-		all := r.Owners(k, 99)
-		if len(all) != 3 {
-			t.Fatalf("Owners(%q, 99) = %v", k, all)
-		}
-	}
-}
-
 func TestNewRejectsEmpty(t *testing.T) {
-	if _, err := New(nil, 0); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Error("New(nil) succeeded, want error")
 	}
-	if _, err := New([]string{"a", ""}, 0); err == nil {
+	if _, err := New([]string{"a", ""}); err == nil {
 		t.Error("New with empty node name succeeded, want error")
 	}
 }

@@ -73,14 +73,10 @@ func (s *Server) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 			results[i] = res
 			continue
 		}
-		info, replayed, err := s.store.Upload(sh.Workload, sh.Config, prof, sh.IdemKey)
+		info, replayed, err := s.commitShard(sh.Workload, sh.Config, prof, sh.IdemKey)
 		switch {
 		case err == nil:
 			res.Info, res.Replayed = &info, replayed
-			if !replayed {
-				// Feed the online PGO window; replays already merged once.
-				s.planIngest(sh.Workload, sh.Config, prof)
-			}
 		case isTemporary(err):
 			// Abort the whole batch retryably. Shards 0..i-1 committed under
 			// their idempotency keys; the client's full resend replays them.

@@ -45,7 +45,10 @@ import (
 type Config struct {
 	// Experiments configures the sessions backing figure queries (machine
 	// model, prefetch options, worker pool size). Its Workloads field sets
-	// the default roster; requests narrow it with ?workloads=.
+	// the default roster; requests narrow it with ?workloads=. Its Metrics
+	// registry receives the prefetch-effectiveness reports of every
+	// observed measurement cell and backs GET /obs/metrics; nil creates
+	// one.
 	Experiments experiments.Config
 	// MaxInFlight bounds concurrently executing simulation-heavy requests
 	// (figures, classification). Zero selects GOMAXPROCS.
@@ -61,11 +64,6 @@ type Config struct {
 	// history depth, SSE heartbeat, long-poll bound); see plan.go. The
 	// zero value selects production defaults.
 	Plan PlanConfig
-	// Metrics receives the prefetch-effectiveness reports of every
-	// observed measurement cell and backs GET /obs/metrics. Nil creates a
-	// registry (set Experiments.Metrics to the same registry to observe
-	// figure cells; New does this automatically when both are nil).
-	Metrics *obs.Registry
 	// Store backs the profile upload/download/classify endpoints; nil
 	// creates an empty in-memory Store. The chaos harness injects a
 	// fault-wrapped store here.
@@ -118,11 +116,8 @@ type Server struct {
 
 // New builds a Server.
 func New(cfg Config) *Server {
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewRegistry()
-	}
 	if cfg.Experiments.Metrics == nil {
-		cfg.Experiments.Metrics = cfg.Metrics
+		cfg.Experiments.Metrics = obs.NewRegistry()
 	}
 	if cfg.Store == nil {
 		cfg.Store = NewStore()
@@ -328,7 +323,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleObsMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := s.cfg.Metrics.WriteJSON(w); err != nil {
+	if err := s.cfg.Experiments.Metrics.WriteJSON(w); err != nil {
 		s.log.Printf("server: write metrics: %v", err)
 	}
 }
@@ -439,8 +434,7 @@ func (s *Server) handleProfileUpload(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, api.Errorf(http.StatusBadRequest, api.CodeBadRequest, "%v", err))
 		return
 	}
-	idemKey := r.Header.Get("Idempotency-Key")
-	info, replayed, err := s.store.Upload(wname, cname, prof, idemKey)
+	info, replayed, err := s.commitShard(wname, cname, prof, r.Header.Get("Idempotency-Key"))
 	if err != nil {
 		// A non-transient failure means the shard is well-formed but
 		// incompatible with the aggregate: conflict.
@@ -454,11 +448,20 @@ func (s *Server) handleProfileUpload(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.log.Printf("server: profile %s/%s now at version %d (%d shards)",
 			wname, cname, info.Version, info.Shards)
-		// Feed the online PGO window. Replays stay out: the shard already
-		// merged once, and double-feeding would double its window weight.
-		s.planIngest(wname, cname, prof)
 	}
 	s.writeJSON(w, http.StatusOK, info)
+}
+
+// commitShard is the one commit path of both upload routes: it uploads a
+// decoded shard into its aggregate and feeds the online PGO window. A
+// replayed upload stays out of the window: the shard already merged once,
+// and double-feeding would double its window weight.
+func (s *Server) commitShard(workload, config string, prof *profile.Combined, idemKey string) (EntryInfo, bool, error) {
+	info, replayed, err := s.store.Upload(workload, config, prof, idemKey)
+	if err == nil && !replayed {
+		s.planIngest(workload, config, prof)
+	}
+	return info, replayed, err
 }
 
 func (s *Server) handleProfileGet(w http.ResponseWriter, r *http.Request) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"stridepf/internal/lfu"
@@ -73,5 +74,26 @@ func TestStoreGetAliasing(t *testing.T) {
 	}
 	if gotBytes := encodeStoreProfile(t, b); !bytes.Equal(gotBytes, want) {
 		t.Error("two Get results share TopStrides backing arrays")
+	}
+}
+
+// TestStoreIdempotencyBound pins the size of the per-aggregate
+// idempotency table: after 4097 keyed uploads the oldest key (0) has been
+// evicted and merges again, while the next oldest (1) still replays.
+func TestStoreIdempotencyBound(t *testing.T) {
+	s := NewStore()
+	const keys = 4097
+	for i := 0; i < keys; i++ {
+		if _, replayed, err := s.Upload("197.parser", "idem", storeShard(1), fmt.Sprintf("key-%d", i)); err != nil || replayed {
+			t.Fatalf("upload %d: replayed=%v err=%v", i, replayed, err)
+		}
+	}
+	info, replayed, err := s.Upload("197.parser", "idem", storeShard(1), "key-1")
+	if err != nil || !replayed || info.Shards != 2 {
+		t.Fatalf("key-1: replayed=%v shards=%d err=%v, want a replay of its commit (2 shards)", replayed, info.Shards, err)
+	}
+	info, replayed, err = s.Upload("197.parser", "idem", storeShard(1), "key-0")
+	if err != nil || replayed || info.Shards != keys+1 {
+		t.Fatalf("key-0: replayed=%v shards=%d err=%v, want a fresh merge (%d shards)", replayed, info.Shards, err, keys+1)
 	}
 }

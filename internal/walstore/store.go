@@ -77,28 +77,26 @@ type snapFile struct {
 	Entries []snapEntry `json:"entries"`
 }
 
-// maxIdemKeys mirrors the in-memory store's per-aggregate idempotency
-// bound.
-const maxIdemKeys = 4096
-
-// entry is one (workload, config) aggregate plus its idempotency table.
-type entry struct {
-	info      server.EntryInfo
-	merged    *profile.Combined
-	idem      map[string]server.EntryInfo
-	idemOrder []string
-}
-
-// Store is the WAL-backed ProfileStore. It is safe for concurrent use;
-// one mutex serialises uploads, reads, snapshots and compaction (uploads
-// are merge-dominated, so a finer lock would buy little).
+// Store is the WAL-backed ProfileStore: a log around one server.Store
+// aggregate, which owns the merge, the idempotency table and the reads.
+// It is safe for concurrent use.
 type Store struct {
+	// aggregate holds the profiles and serves Get and List. It is embedded
+	// under an unexported name so that its own Upload, which would commit
+	// without logging, cannot be reached from outside the package: every
+	// upload goes through Store.Upload, and logUpload is the aggregate's
+	// commit log.
+	*aggregate
+
+	// mu serialises uploads, snapshots, rotation and Close; an upload holds
+	// it across the aggregate's commit, so it also guards the log state
+	// below when logUpload runs.
 	mu   sync.Mutex
 	dir  string
 	opts Options
 
-	entries map[string]*entry
-	seq     uint64 // last committed record sequence number
+	seq       uint64 // last committed record sequence number
+	replaying bool   // recovery is re-committing records the log already holds
 
 	seg       *os.File // active segment
 	segSize   int64
@@ -107,9 +105,10 @@ type Store struct {
 	broken    error // set when the WAL can no longer be trusted for appends
 }
 
-var _ server.ProfileStore = (*Store)(nil)
+// aggregate names server.Store for embedding (see Store).
+type aggregate = server.Store
 
-func storeKey(workload, config string) string { return workload + "|" + config }
+var _ server.ProfileStore = (*Store)(nil)
 
 func segPath(dir string, firstSeq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%016x.seg", firstSeq))
@@ -145,7 +144,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts, entries: make(map[string]*entry)}
+	s := &Store{dir: dir, opts: opts}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -175,7 +174,7 @@ func scanDir(dir string) (segs, snaps []uint64, err error) {
 	return segs, snaps, nil
 }
 
-// recover rebuilds in-memory state from snapshot + WAL tail.
+// recover rebuilds the aggregate from snapshot + WAL tail.
 func (s *Store) recover() error {
 	segs, snaps, err := scanDir(s.dir)
 	if err != nil {
@@ -186,13 +185,17 @@ func (s *Store) recover() error {
 	// rename), so a crash cannot tear one; a snapshot that fails its
 	// checksum means on-disk corruption, and silently dropping it would
 	// silently drop every compacted-away record — refuse instead.
+	var state []server.Aggregate
 	if len(snaps) > 0 {
 		snapSeq := snaps[len(snaps)-1]
-		if err := s.loadSnapshot(snapPath(s.dir, snapSeq), snapSeq); err != nil {
+		if state, err = loadSnapshot(snapPath(s.dir, snapSeq), snapSeq); err != nil {
 			return fmt.Errorf("walstore: snapshot %d: %w (refusing to recover past compacted records)", snapSeq, err)
 		}
 		s.seq = snapSeq
 	}
+	s.aggregate = server.RestoreStore(state, s.logUpload)
+	s.replaying = true
+	defer func() { s.replaying = false }()
 
 	// Replay segments in order. Only the newest segment may legitimately
 	// end torn (a crash mid-append); a bad frame or a sequence gap earlier
@@ -243,11 +246,13 @@ func (s *Store) applySegment(sc segmentScan, path string) (stop bool, err error)
 			s.opts.Log.Printf("walstore: %s: sequence gap (have %d, record %d); stopping replay", filepath.Base(path), s.seq, rec.Seq)
 			return true, nil
 		}
+		// Records are only ever appended after their merge validated, so
+		// a replay error means the log itself is inconsistent.
 		prof, err := profile.DefaultCodec.Decode(bytes.NewReader(rec.Shard))
 		if err != nil {
 			return false, fmt.Errorf("walstore: replay seq %d: %w", rec.Seq, err)
 		}
-		if err := s.apply(rec.Workload, rec.Config, prof, rec.IdemKey); err != nil {
+		if _, _, err := s.aggregate.Upload(rec.Workload, rec.Config, prof, rec.IdemKey); err != nil {
 			return false, fmt.Errorf("walstore: replay seq %d: %w", rec.Seq, err)
 		}
 		s.seq = rec.Seq
@@ -255,70 +260,28 @@ func (s *Store) applySegment(sc segmentScan, path string) (stop bool, err error)
 	return false, nil
 }
 
-// apply merges one committed shard into memory (no WAL write): shared by
-// replay and the commit half of Upload. Records are only ever appended
-// after the merge has been validated, so an apply error during replay
-// means the log itself is inconsistent.
-func (s *Store) apply(workload, config string, prof *profile.Combined, idemKey string) error {
-	key := storeKey(workload, config)
-	e := s.entries[key]
-	if e == nil {
-		e = &entry{
-			info: server.EntryInfo{Workload: workload, Config: config},
-			idem: make(map[string]server.EntryInfo),
-		}
-		s.entries[key] = e
-	}
-	merged, err := profile.Merge(e.merged, prof)
-	if err != nil {
-		return err
-	}
-	fi, err := merged.FineInterval()
-	if err != nil {
-		return err
-	}
-	e.merged = merged
-	e.info.Version++
-	e.info.Shards++
-	e.info.FineInterval = fi
-	if idemKey != "" {
-		e.idem[idemKey] = e.info
-		e.idemOrder = append(e.idemOrder, idemKey)
-		if len(e.idemOrder) > maxIdemKeys {
-			delete(e.idem, e.idemOrder[0])
-			e.idemOrder = e.idemOrder[1:]
-		}
-	}
-	return nil
-}
-
-// loadSnapshot restores the full store state recorded at snapSeq.
-func (s *Store) loadSnapshot(path string, snapSeq uint64) error {
+// loadSnapshot reads the aggregate state recorded at snapSeq.
+func loadSnapshot(path string, snapSeq uint64) ([]server.Aggregate, error) {
 	payload, err := readFileAtomic(path, snapMagic)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var sf snapFile
 	if err := json.Unmarshal(payload, &sf); err != nil {
-		return err
+		return nil, err
 	}
 	if sf.Seq != snapSeq {
-		return fmt.Errorf("payload claims seq %d, filename says %d", sf.Seq, snapSeq)
+		return nil, fmt.Errorf("payload claims seq %d, filename says %d", sf.Seq, snapSeq)
 	}
-	for _, se := range sf.Entries {
+	state := make([]server.Aggregate, len(sf.Entries))
+	for i, se := range sf.Entries {
 		merged, err := profile.DefaultCodec.Decode(bytes.NewReader(se.Merged))
 		if err != nil {
-			return fmt.Errorf("aggregate %s/%s: %w", se.Info.Workload, se.Info.Config, err)
+			return nil, fmt.Errorf("aggregate %s/%s: %w", se.Info.Workload, se.Info.Config, err)
 		}
-		idem := se.Idem
-		if idem == nil {
-			idem = make(map[string]server.EntryInfo)
-		}
-		s.entries[storeKey(se.Info.Workload, se.Info.Config)] = &entry{
-			info: se.Info, merged: merged, idem: idem, idemOrder: se.IdemOrder,
-		}
+		state[i] = server.Aggregate{Info: se.Info, Merged: merged, Idem: se.Idem, IdemOrder: se.IdemOrder}
 	}
-	return nil
+	return state, nil
 }
 
 // openActiveSegment starts the segment new appends go to. Recovery always
@@ -338,10 +301,11 @@ func (s *Store) openActiveSegment() error {
 	return nil
 }
 
-// Upload implements server.ProfileStore: validate the merge, append the
-// WAL record, then commit in memory — in that order, so the log never
-// contains a record that cannot replay, and a crash between append and
-// commit just replays the record on restart.
+// Upload implements server.ProfileStore. The aggregate validates the
+// merge, logUpload appends the WAL record, and only then does the
+// aggregate commit — so the log never contains a record that cannot
+// replay, and a crash between append and commit just replays the record
+// on restart.
 func (s *Store) Upload(workload, config string, prof *profile.Combined, idemKey string) (server.EntryInfo, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -351,52 +315,10 @@ func (s *Store) Upload(workload, config string, prof *profile.Combined, idemKey 
 	if s.seg == nil {
 		return server.EntryInfo{}, false, fmt.Errorf("walstore: store is closed")
 	}
-	key := storeKey(workload, config)
-	if idemKey != "" {
-		if e := s.entries[key]; e != nil {
-			if rec, ok := e.idem[idemKey]; ok {
-				return rec, true, nil
-			}
-		}
+	info, replayed, err := s.aggregate.Upload(workload, config, prof, idemKey)
+	if err != nil || replayed {
+		return info, replayed, err
 	}
-
-	// Validate before writing: a shard that cannot merge (fine-interval
-	// mismatch) must not reach the log.
-	var cur *profile.Combined
-	if e := s.entries[key]; e != nil {
-		cur = e.merged
-	}
-	merged, err := profile.Merge(cur, prof)
-	if err != nil {
-		return server.EntryInfo{}, false, err
-	}
-	if _, err := merged.FineInterval(); err != nil {
-		return server.EntryInfo{}, false, err
-	}
-
-	var shard bytes.Buffer
-	if err := profile.DefaultCodec.Encode(&shard, prof); err != nil {
-		return server.EntryInfo{}, false, err
-	}
-	payload, err := json.Marshal(walRecord{
-		Seq: s.seq + 1, Workload: workload, Config: config,
-		IdemKey: idemKey, Shard: shard.Bytes(),
-	})
-	if err != nil {
-		return server.EntryInfo{}, false, err
-	}
-	if err := s.appendPayload(payload); err != nil {
-		return server.EntryInfo{}, false, err
-	}
-	s.seq++
-
-	if err := s.apply(workload, config, prof, idemKey); err != nil {
-		// Cannot happen: apply re-runs the merge validated above. If it
-		// does, the log and memory disagree — stop accepting writes.
-		s.broken = fmt.Errorf("walstore: commit after append failed: %w", err)
-		return server.EntryInfo{}, false, s.broken
-	}
-	info := s.entries[key].info
 
 	s.sinceSnap++
 	if s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
@@ -411,6 +333,31 @@ func (s *Store) Upload(workload, config string, prof *profile.Combined, idemKey 
 		}
 	}
 	return info, false, nil
+}
+
+// logUpload is the aggregate's commit log: it appends the upload as the
+// next WAL record. Records replayed during recovery are already in the
+// log, so nothing is written for them.
+func (s *Store) logUpload(workload, config string, prof *profile.Combined, idemKey string) error {
+	if s.replaying {
+		return nil
+	}
+	var shard bytes.Buffer
+	if err := profile.DefaultCodec.Encode(&shard, prof); err != nil {
+		return err
+	}
+	payload, err := json.Marshal(walRecord{
+		Seq: s.seq + 1, Workload: workload, Config: config,
+		IdemKey: idemKey, Shard: shard.Bytes(),
+	})
+	if err != nil {
+		return err
+	}
+	if err := s.appendPayload(payload); err != nil {
+		return err
+	}
+	s.seq++
+	return nil
 }
 
 // appendPayload frames payload onto the active segment. On a write error
@@ -464,19 +411,13 @@ func (s *Store) Snapshot() error {
 // collection of records replay would skip anyway.
 func (s *Store) snapshotLocked() error {
 	sf := snapFile{Seq: s.seq}
-	keys := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		e := s.entries[k]
+	for _, a := range s.Export() {
 		var buf bytes.Buffer
-		if err := profile.DefaultCodec.Encode(&buf, e.merged); err != nil {
+		if err := profile.DefaultCodec.Encode(&buf, a.Merged); err != nil {
 			return err
 		}
 		sf.Entries = append(sf.Entries, snapEntry{
-			Info: e.info, Merged: buf.Bytes(), Idem: e.idem, IdemOrder: e.idemOrder,
+			Info: a.Info, Merged: buf.Bytes(), Idem: a.Idem, IdemOrder: a.IdemOrder,
 		})
 	}
 	payload, err := json.Marshal(sf)
@@ -531,35 +472,6 @@ func (s *Store) compactLocked() {
 	if removed > 0 {
 		s.opts.Log.Printf("walstore: snapshot at seq %d compacted %d segment(s)", newest, removed)
 	}
-}
-
-// Get implements server.ProfileStore. Like the in-memory store it returns
-// a deep copy: callers may mutate the result freely.
-func (s *Store) Get(workload, config string) (*profile.Combined, server.EntryInfo, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.entries[storeKey(workload, config)]
-	if e == nil {
-		return nil, server.EntryInfo{}, fmt.Errorf("walstore: no profile for workload %q config %q", workload, config)
-	}
-	return e.merged.Clone(), e.info, nil
-}
-
-// List implements server.ProfileStore.
-func (s *Store) List() []server.EntryInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]server.EntryInfo, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, e.info)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Workload != out[j].Workload {
-			return out[i].Workload < out[j].Workload
-		}
-		return out[i].Config < out[j].Config
-	})
-	return out
 }
 
 // LastSeq returns the sequence number of the last committed upload (0 when

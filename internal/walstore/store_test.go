@@ -371,3 +371,44 @@ func TestMultipleAggregates(t *testing.T) {
 		t.Fatal("wlA aggregate diverges from offline merge after interleaved replay")
 	}
 }
+
+// TestIdempotencyBoundSurvivesReopen: the idempotency table keeps the
+// newest 4096 keys per aggregate, and a reopen restores exactly that
+// window — here from a snapshot taken after 3000 uploads plus the WAL tail
+// that evicts key 0 during replay.
+func TestIdempotencyBoundSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := walstore.Open(dir, quietOpts(1<<20, 3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 4097
+	for i := 0; i < keys; i++ {
+		if _, replayed, err := s.Upload(testWorkload, testConfig, walShard(1), fmt.Sprintf("key-%d", i)); err != nil || replayed {
+			t.Fatalf("upload %d: replayed=%v err=%v", i, replayed, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if snaps := globDir(t, dir, "snap-*.snap"); len(snaps) != 1 {
+		t.Fatalf("want one snapshot before the WAL tail, have %v", snaps)
+	}
+
+	s2, err := walstore.Open(dir, quietOpts(1<<20, 3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	info, replayed, err := s2.Upload(testWorkload, testConfig, walShard(1), "key-1")
+	if err != nil || !replayed || info.Shards != 2 {
+		t.Fatalf("key-1: replayed=%v shards=%d err=%v, want a replay of its commit (2 shards)", replayed, info.Shards, err)
+	}
+	info, replayed, err = s2.Upload(testWorkload, testConfig, walShard(1), "key-0")
+	if err != nil || replayed || info.Shards != keys+1 {
+		t.Fatalf("key-0: replayed=%v shards=%d err=%v, want a fresh merge (%d shards)", replayed, info.Shards, err, keys+1)
+	}
+	if s2.LastSeq() != keys+1 {
+		t.Fatalf("LastSeq = %d, want %d", s2.LastSeq(), keys+1)
+	}
+}
