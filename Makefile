@@ -1,7 +1,8 @@
 # Tier-1 gate: `make check` is what CI (and every PR) must keep green.
-# It vets, builds and tests every package, then re-runs the concurrent
+# It vets, builds and tests every package, re-runs the concurrent
 # packages (the parallel experiment session and the interpreter it drives)
-# under the race detector in short mode.
+# under the race detector in short mode, and checks the figure and arena
+# outputs byte for byte against their goldens.
 #
 # `make check-deep` is the slower tier-2 gate: the whole tree race-enabled
 # and shuffled, a fuzz smoke pass over the seed corpora, the simcheck
@@ -10,13 +11,13 @@
 
 GO ?= go
 
-.PHONY: check check-deep vet build test race race-full fuzz-smoke simcheck \
+.PHONY: check check-deep vet build test race race-full golden fuzz-smoke simcheck \
 	arena paths bench bench-json bench-pairs figures metrics serve smoke-serve \
 	chaos chaos-replay converge walsoak clean
 
 # The benchmark is a module of its own (e2ebench/go.mod), so its tests run
 # from its directory.
-check: vet build test race
+check: vet build test race golden
 	cd e2ebench && $(GO) test ./...
 
 check-deep: check
@@ -62,6 +63,13 @@ race-full:
 		./internal/simcheck/... ./internal/cache/... ./internal/hwpf/... \
 		./internal/walstore/... ./internal/ring/... ./internal/api/... \
 		./internal/blpath/...
+
+# Byte-identity gate: the paper figures and the prefetcher arena, both
+# computed in parallel, must equal their committed outputs. The arena
+# golden belongs to the end-to-end benchmark and is only read here.
+golden:
+	$(GO) run ./cmd/experiments -figure all -j 2 | cmp - figures_output.txt
+	$(GO) run ./cmd/experiments -figure arena -j 2 | cmp - e2ebench/testdata/arena_all.golden
 
 # Short coverage-guided fuzzing runs seeded from testdata/fuzz corpora.
 # ~10s per target: enough to exercise the mutator, not a soak test.

@@ -48,11 +48,11 @@ func (s *Session) Fig16(ctx context.Context) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			e, err := s.Speedup(ctx, name, m.Name+"-train", pr.Profiles, w.Ref())
+			sp, err := s.Speedup(ctx, name, m.Name+"-train", pr.Profiles, w.Ref())
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, e.speedup)
+			row = append(row, sp)
 		}
 		t.AddRow(name, row...)
 	}
@@ -392,11 +392,11 @@ func (s *Session) sensitivityTable(ctx context.Context, spec sensitivitySpec) (*
 		profs := spec.mix(trainPR, refPR)
 		row := make([]float64, 0, len(spec.cols))
 		for i, p := range profs {
-			e, err := s.Speedup(ctx, name, spec.title+spec.cols[i], p, w.Ref())
+			sp, err := s.Speedup(ctx, name, spec.title+spec.cols[i], p, w.Ref())
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, e.speedup)
+			row = append(row, sp)
 		}
 		t.AddRow(name, row...)
 	}

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"stridepf/internal/core"
 	"stridepf/internal/hwpf"
 	"stridepf/internal/instrument"
+	"stridepf/internal/ir"
 	"stridepf/internal/machine"
 	"stridepf/internal/obs"
 	"stridepf/internal/prefetch"
@@ -101,8 +103,9 @@ func (c *Config) jobs() int {
 }
 
 // Session runs and memoises the pipeline stages the figures share: one
-// profiling run per (workload, method, input), one clean measurement run
-// per (workload, input), and one prefetched measurement per profile.
+// profiling run per (workload, method, input) and one measurement run per
+// distinct binary and input, however many figure cells build that binary
+// (see measure).
 //
 // A session is safe for concurrent use: each memoised entry is computed at
 // most once even under concurrent callers (per-key singleflight), and every
@@ -121,20 +124,37 @@ type Session struct {
 	hwpfErr     error
 
 	mu       sync.Mutex
-	inflight map[string]*flight
+	inflight map[any]*flight
 
 	profiles   map[string]*core.ProfileRun
 	cleans     map[string]core.RunStats
-	speedups   map[string]*speedupEntry
+	speedups   map[string]float64
+	runs       map[runKey]*measured
 	classes    map[string]*classBuckets
 	arenas     map[string]arenaCells
 	pathsCells map[string]*PathsCell
+
+	// measureRuns counts the simulations the run memo has executed.
+	measureRuns atomic.Int64
 }
 
-type speedupEntry struct {
-	run      core.RunStats
-	feedback *prefetch.Result
-	speedup  float64
+// runKey identifies one measurement run: a program, by ir.Fingerprint, on
+// one workload input under one observation. The session's machine
+// configuration is fixed, so it is not part of the key. obs is "" for an
+// unobserved run and otherwise the run label the collector's trace events
+// carry (see Session.observation).
+type runKey struct {
+	workload string
+	in       core.Input
+	prog     [32]byte
+	obs      string
+}
+
+// measured is one memoised measurement run, with its effectiveness
+// collector when the run was observed.
+type measured struct {
+	run core.RunStats
+	col *obs.Collector
 }
 
 // flight is one in-progress computation shared by concurrent callers of the
@@ -149,10 +169,11 @@ type flight struct {
 func NewSession(cfg Config) *Session {
 	s := &Session{
 		cfg:        cfg,
-		inflight:   make(map[string]*flight),
+		inflight:   make(map[any]*flight),
 		profiles:   make(map[string]*core.ProfileRun),
 		cleans:     make(map[string]core.RunStats),
-		speedups:   make(map[string]*speedupEntry),
+		speedups:   make(map[string]float64),
+		runs:       make(map[runKey]*measured),
 		classes:    make(map[string]*classBuckets),
 		arenas:     make(map[string]arenaCells),
 		pathsCells: make(map[string]*PathsCell),
@@ -182,7 +203,7 @@ func NewSession(cfg Config) *Session {
 // (the computation keeps running for whoever else wants it), and a waiter
 // that receives a cancellation error from someone else's flight retries
 // the computation under its own, still-live ctx.
-func (s *Session) do(ctx context.Context, key string, lookup func() (any, bool), store func(any), compute func() (any, error)) (any, error) {
+func (s *Session) do(ctx context.Context, key any, lookup func() (any, bool), store func(any), compute func() (any, error)) (any, error) {
 	if s.hwpfErr != nil {
 		return nil, s.hwpfErr
 	}
@@ -323,8 +344,11 @@ func (s *Session) Clean(ctx context.Context, wname string, in core.Input) (core.
 			if err != nil {
 				return nil, err
 			}
-			st, err := core.Execute(w.Program(), w, in, s.mcfg(ctx))
-			return st, ctxErr(ctx, err)
+			m, err := s.measure(ctx, w, w.Program(), in, "")
+			if err != nil {
+				return nil, err
+			}
+			return m.run, nil
 		})
 	if err != nil {
 		return core.RunStats{}, err
@@ -333,12 +357,12 @@ func (s *Session) Clean(ctx context.Context, wname string, in core.Input) (core.
 }
 
 // Speedup builds the prefetched binary from prof (labelled profLabel for
-// memoisation) and measures it against the clean binary on input in.
-func (s *Session) Speedup(ctx context.Context, wname, profLabel string, prof *profile.Combined, in core.Input) (*speedupEntry, error) {
+// memoisation) and returns its speedup over the clean binary on input in.
+func (s *Session) Speedup(ctx context.Context, wname, profLabel string, prof *profile.Combined, in core.Input) (float64, error) {
 	key := "speedup|" + wname + "|" + profLabel + "|" + in.Name
 	v, err := s.do(ctx, key,
-		func() (any, bool) { e, ok := s.speedups[key]; return e, ok },
-		func(v any) { s.speedups[key] = v.(*speedupEntry) },
+		func() (any, bool) { sp, ok := s.speedups[key]; return sp, ok },
+		func(v any) { s.speedups[key] = v.(float64) },
 		func() (any, error) {
 			w, err := s.workload(wname)
 			if err != nil {
@@ -352,36 +376,74 @@ func (s *Session) Speedup(ctx context.Context, wname, profLabel string, prof *pr
 			if err != nil {
 				return nil, err
 			}
-			mcfg := s.mcfg(ctx)
-			var col *obs.Collector
-			if s.cfg.Metrics != nil || s.cfg.Trace != nil {
-				col = obs.NewCollector(s.cfg.Trace.WithRun(key))
-				mcfg.Obs = col
-			}
-			run, err := core.Execute(fb.Prog, w, in, mcfg)
+			m, err := s.measure(ctx, w, fb.Prog, in, s.observation(key))
 			if err != nil {
-				return nil, ctxErr(ctx, err)
+				return nil, err
 			}
-			if col != nil && s.cfg.Metrics != nil {
-				rep := obs.BuildReport(key, col)
+			if m.col != nil && s.cfg.Metrics != nil {
+				rep := obs.BuildReport(key, m.col)
 				rep.Workload = wname
 				rep.Label = profLabel + "|" + in.Name
 				s.cfg.Metrics.Register(rep)
 			}
-			if run.Ret != base.Ret {
+			if m.run.Ret != base.Ret {
 				return nil, fmt.Errorf("experiments: %s: prefetched binary diverged (%d vs %d)",
-					wname, run.Ret, base.Ret)
+					wname, m.run.Ret, base.Ret)
 			}
-			return &speedupEntry{
-				run:      run,
-				feedback: fb,
-				speedup:  float64(base.Stats.Cycles) / float64(run.Stats.Cycles),
-			}, nil
+			return float64(base.Stats.Cycles) / float64(m.run.Stats.Cycles), nil
+		})
+	if err != nil {
+		return 0, err
+	}
+	return v.(float64), nil
+}
+
+// observation returns the run-memo observation for the prefetched cell
+// labelled key. Unobserved sessions share plain runs, so a prefetched
+// binary equal to the clean program reuses the clean run. Metrics-only
+// sessions share one collector per distinct binary; each label still
+// registers its own report from it. Traced runs stay per label, because
+// every trace event is stamped with its cell's key.
+func (s *Session) observation(key string) string {
+	switch {
+	case s.cfg.Trace != nil:
+		return key
+	case s.cfg.Metrics != nil:
+		return "metrics"
+	}
+	return ""
+}
+
+// measure returns the memoised run of prog on workload w's input in.
+// Runs are content-addressed: every caller that builds the same binary
+// (equal ir.Fingerprint) for the same input and observation shares one
+// simulation, whatever label it computes. A non-empty observe attaches an
+// effectiveness collector whose trace events carry observe as their run.
+// Callers hash prog only on a miss of their own memo, so a memo hit never
+// pays for the fingerprint.
+func (s *Session) measure(ctx context.Context, w core.Workload, prog *ir.Program, in core.Input, observe string) (*measured, error) {
+	key := runKey{workload: w.Name(), in: in, prog: ir.Fingerprint(prog), obs: observe}
+	v, err := s.do(ctx, key,
+		func() (any, bool) { m, ok := s.runs[key]; return m, ok },
+		func(v any) { s.runs[key] = v.(*measured) },
+		func() (any, error) {
+			mcfg := s.mcfg(ctx)
+			var col *obs.Collector
+			if observe != "" {
+				col = obs.NewCollector(s.cfg.Trace.WithRun(observe))
+				mcfg.Obs = col
+			}
+			s.measureRuns.Add(1)
+			run, err := core.Execute(prog, w, in, mcfg)
+			if err != nil {
+				return nil, ctxErr(ctx, err)
+			}
+			return &measured{run: run, col: col}, nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*speedupEntry), nil
+	return v.(*measured), nil
 }
 
 // warmTasks returns one closure per pipeline cell the named figures need.

@@ -100,7 +100,13 @@ type Server struct {
 	start time.Time
 
 	gate Gate // admission for heavy requests
-	wg   sync.WaitGroup
+
+	// heavyMu guards the count of admitted heavy requests and the draining
+	// flag Drain sets; idle is closed once draining with none in flight.
+	heavyMu  sync.Mutex
+	heavyN   int
+	draining bool
+	idle     chan struct{}
 
 	mu       sync.Mutex
 	sessions map[string]*experiments.Session
@@ -136,6 +142,7 @@ func New(cfg Config) *Server {
 		mux:      http.NewServeMux(),
 		start:    time.Now(),
 		gate:     cfg.Gate,
+		idle:     make(chan struct{}),
 		sessions: make(map[string]*experiments.Session),
 		plans:    newPlanHub(),
 	}
@@ -167,18 +174,46 @@ func (s *Server) Store() ProfileStore { return s.store }
 
 // Drain blocks until every in-flight heavy request finished or ctx
 // expires. http.Server.Shutdown already waits for open connections; Drain
-// additionally covers callers embedding the handler elsewhere.
+// additionally covers callers embedding the handler elsewhere. Draining is
+// one-way: a heavy request admitted after Drain starts is refused with
+// 503 unavailable instead of racing the wait.
 func (s *Server) Drain(ctx context.Context) error {
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
+	s.heavyMu.Lock()
+	if !s.draining {
+		s.draining = true
+		if s.heavyN == 0 {
+			close(s.idle)
+		}
+	}
+	s.heavyMu.Unlock()
 	select {
-	case <-done:
+	case <-s.idle:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
+	}
+}
+
+// enterHeavy counts an admitted heavy request in flight, or reports false
+// once the server is draining.
+func (s *Server) enterHeavy() bool {
+	s.heavyMu.Lock()
+	defer s.heavyMu.Unlock()
+	if s.draining {
+		return false
+	}
+	s.heavyN++
+	return true
+}
+
+// exitHeavy ends a request enterHeavy counted; the last one out of a
+// draining server releases Drain.
+func (s *Server) exitHeavy() {
+	s.heavyMu.Lock()
+	defer s.heavyMu.Unlock()
+	s.heavyN--
+	if s.draining && s.heavyN == 0 {
+		close(s.idle)
 	}
 }
 
@@ -203,11 +238,18 @@ func (s *Server) heavy(h func(http.ResponseWriter, *http.Request)) http.HandlerF
 			}
 			return // otherwise: client went away while queued
 		}
-		s.wg.Add(1)
+		if !s.enterHeavy() {
+			s.gate.Release()
+			s.rejected.Add(1)
+			e := api.Errorf(http.StatusServiceUnavailable, api.CodeUnavailable, "server draining")
+			e.RetryAfter = 1
+			s.writeErr(w, e)
+			return
+		}
 		defer func() {
 			s.gate.Release()
-			s.wg.Done()
 			s.served.Add(1)
+			s.exitHeavy()
 		}()
 
 		if s.cfg.RequestTimeout > 0 {
