@@ -64,11 +64,14 @@ race-full:
 		./internal/walstore/... ./internal/ring/... ./internal/api/... \
 		./internal/blpath/...
 
-# Byte-identity gate: the paper figures and the prefetcher arena, both
-# computed in parallel, must equal their committed outputs. The arena
-# golden belongs to the end-to-end benchmark and is only read here.
+# Byte-identity gate: the paper figures (also with the rpt hardware
+# prefetcher, the one figure job whose hooked lanes keep hierarchies of
+# their own) and the prefetcher arena, all computed in parallel, must equal
+# their committed outputs. The arena golden belongs to the end-to-end
+# benchmark and is only read here.
 golden:
 	$(GO) run ./cmd/experiments -figure all -j 2 | cmp - figures_output.txt
+	$(GO) run ./cmd/experiments -figure all -j 2 -hwpf rpt | cmp - internal/experiments/testdata/figures_hwpf_rpt.golden
 	$(GO) run ./cmd/experiments -figure arena -j 2 | cmp - e2ebench/testdata/arena_all.golden
 
 # Short coverage-guided fuzzing runs seeded from testdata/fuzz corpora.
@@ -79,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 10s ./internal/profile
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/walstore
 	$(GO) test -run '^$$' -fuzz FuzzPathNumbering -fuzztime 10s ./internal/blpath
+	$(GO) test -run '^$$' -fuzz FuzzDecodeParams -fuzztime 10s ./internal/api
 
 # Differential/metamorphic property checks (see TESTING.md).
 simcheck:

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"math"
 	"net/http"
 	"net/url"
 	"sort"
@@ -128,15 +129,21 @@ func DecodeParams(q url.Values, spec ParamSpec) (Params, *Error) {
 		p.Wait = spec.MaxWait
 		if v := q.Get("wait"); v != "" {
 			secs, err := strconv.ParseFloat(v, 64)
-			if err != nil || secs < 0 {
+			if err != nil || math.IsNaN(secs) || math.IsInf(secs, 0) || secs < 0 {
 				return p, Errorf(http.StatusBadRequest, CodeBadRequest,
-					"bad wait %q (want seconds >= 0)", v)
+					"bad wait %q (want finite seconds >= 0)", v)
 			}
-			w := time.Duration(secs * float64(time.Second))
-			if spec.MaxWait > 0 && w > spec.MaxWait {
-				w = spec.MaxWait
+			// Clamp in float: a large wait would overflow the Duration
+			// conversion into a negative one.
+			limit := time.Duration(math.MaxInt64)
+			if spec.MaxWait > 0 {
+				limit = spec.MaxWait
 			}
-			p.Wait = w
+			if ns := secs * float64(time.Second); ns < float64(limit) {
+				p.Wait = time.Duration(ns)
+			} else {
+				p.Wait = limit
+			}
 		}
 	}
 	return p, nil

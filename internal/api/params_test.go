@@ -1,6 +1,7 @@
 package api
 
 import (
+	"math"
 	"net/url"
 	"reflect"
 	"strings"
@@ -136,5 +137,46 @@ func TestDecodeParamsPlanKey(t *testing.T) {
 	_, err = DecodeParams(url.Values{"workload": {"x"}, "config": {"base"}}, spec)
 	if err == nil || err.Status != 404 || err.Code != CodeUnknownWorkload {
 		t.Errorf("unknown plan workload: %v", err)
+	}
+}
+
+// TestDecodeParamsWaitBounds: ?wait= is clamped to MaxWait before the
+// Duration conversion, so huge values cannot overflow into a negative
+// wait, and non-finite values are rejected.
+func TestDecodeParamsWaitBounds(t *testing.T) {
+	const max = 30 * time.Second
+	cases := []struct {
+		wait    string
+		maxWait time.Duration
+		want    time.Duration
+		bad     bool
+	}{
+		{wait: "0", maxWait: max, want: 0},
+		{wait: "29.5", maxWait: max, want: 29500 * time.Millisecond},
+		{wait: "1e10", maxWait: max, want: max},
+		{wait: "9.3e9", maxWait: max, want: max},
+		{wait: "1e300", maxWait: max, want: max},
+		{wait: "1e10", want: time.Duration(math.MaxInt64)},
+		{wait: "9.2e9", want: time.Duration(9.2e18)},
+		{wait: "inf", maxWait: max, bad: true},
+		{wait: "+Inf", bad: true},
+		{wait: "-inf", maxWait: max, bad: true},
+		{wait: "NaN", maxWait: max, bad: true},
+		{wait: "nan", bad: true},
+		{wait: "1e400", maxWait: max, bad: true},
+		{wait: "-0.5", maxWait: max, bad: true},
+	}
+	for _, tc := range cases {
+		spec := ParamSpec{Wait: true, MaxWait: tc.maxWait}
+		p, err := DecodeParams(url.Values{"wait": {tc.wait}}, spec)
+		if tc.bad {
+			if err == nil || err.Status != 400 || err.Code != CodeBadRequest {
+				t.Errorf("wait=%s (max %v): got (%v, %v), want a 400 %s", tc.wait, tc.maxWait, p.Wait, err, CodeBadRequest)
+			}
+			continue
+		}
+		if err != nil || p.Wait != tc.want {
+			t.Errorf("wait=%s (max %v): got (%v, %v), want %v", tc.wait, tc.maxWait, p.Wait, err, tc.want)
+		}
 	}
 }

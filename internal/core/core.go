@@ -23,6 +23,7 @@ import (
 	"stridepf/internal/machine"
 	"stridepf/internal/prefetch"
 	"stridepf/internal/profile"
+	"stridepf/internal/stride"
 )
 
 // Input selects a workload input data set. Scale controls the data-set
@@ -151,15 +152,52 @@ type ProfileRun struct {
 	LFUCalls int64
 	// HookInvocations counts strideProf entries before sampling.
 	HookInvocations int64
+	// Lanes holds one run per twin passed to ProfilePass, in order, each
+	// equal to that twin's own ProfilePass. A lane run's own Lanes is nil.
+	Lanes []*ProfileRun
 }
 
 // ProfilePass instruments the workload per opts, runs it on input in, and
 // extracts profiles and profiling-cost statistics.
-func ProfilePass(w Workload, in Input, opts instrument.Options, mcfg machine.Config) (*ProfileRun, error) {
+//
+// Each twin is profiled too, and its run comes back in ProfileRun.Lanes.
+// A twin whose instrumented program has the same ir.Fingerprint as opts'
+// (for example the sampled variant of an exact method: sampling happens
+// inside the stride runtime) becomes a machine.Lane of the one execution,
+// with its own stride runtime bound as the lane's hook on a memory system
+// configured like the primary's. The other twins, and every twin when
+// mcfg brings lanes of its own or a prefetcher instance without a factory,
+// run on their own. mcfg.Obs observes opts' run only.
+func ProfilePass(w Workload, in Input, opts instrument.Options, mcfg machine.Config, twins ...instrument.Options) (*ProfileRun, error) {
 	prog := w.Program()
 	res, err := instrument.Instrument(prog, opts)
 	if err != nil {
 		return nil, err
+	}
+	runs := make([]*ProfileRun, len(twins))
+	riders := make([]*instrument.Result, len(twins)) // the twins riding as lanes
+	var lanes []machine.Lane
+	if len(twins) > 0 {
+		fp := ir.Fingerprint(res.Prog)
+		lanesOK := len(mcfg.Lanes) == 0 && (mcfg.HWPrefetch == nil || mcfg.NewHWPrefetch != nil)
+		for i, t := range twins {
+			tres, err := instrument.Instrument(prog, t)
+			if err != nil {
+				return nil, err
+			}
+			if lanesOK && ir.Fingerprint(tres.Prog) == fp {
+				riders[i] = tres
+				lanes = append(lanes, machine.Lane{Hierarchy: mcfg.Hierarchy,
+					NewHWPrefetch: mcfg.NewHWPrefetch, Hooks: laneHooks(tres)})
+				continue
+			}
+			if runs[i], err = ProfilePass(w, in, t, mcfg); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if lanes != nil {
+		mcfg.Lanes = lanes
 	}
 	m, err := machine.New(res.Prog, machine.WithConfig(mcfg))
 	if err != nil {
@@ -174,21 +212,53 @@ func ProfilePass(w Workload, in Input, opts instrument.Options, mcfg machine.Con
 		return nil, fmt.Errorf("core: profiling %s/%s with %v: %w", w.Name(), in.Name, opts.Method, err)
 	}
 
+	st := snapshot(m, ret)
+	var laneStats []RunStats
+	if lanes != nil {
+		laneStats, st.Lanes = st.Lanes, nil
+	}
+	total, inLoop := programLoadRefs(prog, st.LoadCounts)
+	pr := profileRun(res, m, st, total, inLoop)
+	for i, tres := range riders {
+		if tres != nil {
+			runs[i] = profileRun(tres, m, laneStats[0], total, inLoop)
+			laneStats = laneStats[1:]
+		}
+	}
+	if len(twins) > 0 {
+		pr.Lanes = runs
+	}
+	return pr, nil
+}
+
+// laneHooks binds res's stride runtime, if any, as a lane's hooks.
+func laneHooks(res *instrument.Result) map[int64]machine.HookFunc {
+	if res.Runtime == nil {
+		return nil
+	}
+	return map[int64]machine.HookFunc{stride.HookID: res.Runtime.Hook()}
+}
+
+// profileRun extracts one instrumentation's profiles and profiling-cost
+// statistics from the machine that ran it, as the primary or as a lane
+// with run statistics st.
+func profileRun(res *instrument.Result, m *machine.Machine, st RunStats, total, inLoop uint64) *ProfileRun {
 	pr := &ProfileRun{
 		Instr: res,
-		Stats: snapshot(m, ret),
+		Stats: st,
 		Profiles: &profile.Combined{
 			Edge:   res.ExtractEdgeProfile(m),
 			Stride: profile.NewStrideProfile(res.StrideSummaries()),
 		},
+		ProgramLoadRefs: total,
+		InLoopLoadRefs:  inLoop,
 	}
 	if res.Runtime != nil {
 		pr.ProcessedRefs = res.Runtime.ProcessedRefs()
 		pr.LFUCalls = res.Runtime.LFUCalls()
 		pr.HookInvocations = res.Runtime.Invocations
 	}
-	pr.ProgramLoadRefs, pr.InLoopLoadRefs = programLoadRefs(prog, pr.Stats.LoadCounts)
-	return pr, nil
+	return pr
 }
 
 // programLoadRefs sums dynamic references over the loads present in the

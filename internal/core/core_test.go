@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"stridepf/internal/instrument"
 	"stridepf/internal/ir"
 	"stridepf/internal/machine"
 	"stridepf/internal/prefetch"
+	"stridepf/internal/stride"
 )
 
 // listWorkload is a minimal in-package test workload: a pointer-chasing
@@ -128,6 +131,47 @@ func TestProfilePassCollectsBothProfiles(t *testing.T) {
 	if pr.ProgramLoadRefs >= pr.Stats.Stats.LoadRefs {
 		t.Errorf("program loads %d should be fewer than machine loads %d (counter loads)",
 			pr.ProgramLoadRefs, pr.Stats.Stats.LoadRefs)
+	}
+}
+
+// TestProfilePassTwins: each twin's run in ProfileRun.Lanes equals its own
+// ProfilePass, whether it rode as a lane (the sampled twin instruments the
+// same binary) or ran on its own (naive-all instruments another).
+func TestProfilePassTwins(t *testing.T) {
+	w := newListWorkload()
+	opts := instrument.Options{Method: instrument.EdgeCheck}
+	twins := []instrument.Options{
+		{Method: instrument.EdgeCheck, Stride: stride.Config{FineInterval: 4, ChunkSkip: 1200, ChunkProfile: 300}},
+		{Method: instrument.NaiveAll},
+	}
+	pr, err := ProfilePass(w, w.Train(), opts, machine.Config{}, twins...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pr.Lanes) != len(twins) {
+		t.Fatalf("%d lane runs, want %d", len(pr.Lanes), len(twins))
+	}
+	for i, o := range append([]instrument.Options{opts}, twins...) {
+		got := pr
+		if i > 0 {
+			got = pr.Lanes[i-1]
+		}
+		want, err := ProfilePass(w, w.Train(), o, machine.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gb, wb bytes.Buffer
+		if err := got.Profiles.Write(&gb); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Profiles.Write(&wb); err != nil {
+			t.Fatal(err)
+		}
+		if gb.String() != wb.String() || !reflect.DeepEqual(got.Stats, want.Stats) ||
+			got.ProcessedRefs != want.ProcessedRefs || got.LFUCalls != want.LFUCalls ||
+			got.HookInvocations != want.HookInvocations || got.ProgramLoadRefs != want.ProgramLoadRefs {
+			t.Errorf("run %d (%v) differs from its own ProfilePass", i, o.Method)
+		}
 	}
 }
 

@@ -103,9 +103,10 @@ func (c *Config) jobs() int {
 }
 
 // Session runs and memoises the pipeline stages the figures share: one
-// profiling run per (workload, method, input) and one measurement run per
-// distinct binary and input, however many figure cells build that binary
-// (see measure).
+// profiling execution per distinct instrumented binary and input, however
+// many profile cells instrument that binary (see Profile), and one
+// measurement run per distinct binary and input, however many figure cells
+// build that binary (see measure).
 //
 // A session is safe for concurrent use: each memoised entry is computed at
 // most once even under concurrent callers (per-key singleflight), and every
@@ -127,6 +128,7 @@ type Session struct {
 	inflight map[any]*flight
 
 	profiles   map[string]*core.ProfileRun
+	groups     map[groupKey][]*core.ProfileRun
 	cleans     map[string]core.RunStats
 	speedups   map[string]float64
 	runs       map[runKey]*measured
@@ -134,8 +136,23 @@ type Session struct {
 	arenas     map[string]arenaCells
 	pathsCells map[string]*PathsCell
 
-	// measureRuns counts the simulations the run memo has executed.
+	// measureRuns counts the simulations the run memo has executed, and
+	// profileRuns the profiling executions the group memo has.
 	measureRuns atomic.Int64
+	profileRuns atomic.Int64
+}
+
+// groupKey identifies one profiling execution: an instrumented program, by
+// ir.Fingerprint, on one workload input, profiled for the cells of one
+// profile group (see profileGroup), whose runtimes it binds. The group's
+// first cell is the primary and the rest are lanes. cells joins the
+// group's cell names, so a cell outside the paper's method table that
+// happens to build a grouped binary still gets an execution of its own.
+type groupKey struct {
+	workload string
+	in       core.Input
+	prog     [32]byte
+	cells    string
 }
 
 // runKey identifies one measurement run: a program, by ir.Fingerprint, on
@@ -171,6 +188,7 @@ func NewSession(cfg Config) *Session {
 		cfg:        cfg,
 		inflight:   make(map[any]*flight),
 		profiles:   make(map[string]*core.ProfileRun),
+		groups:     make(map[groupKey][]*core.ProfileRun),
 		cleans:     make(map[string]core.RunStats),
 		speedups:   make(map[string]float64),
 		runs:       make(map[runKey]*measured),
@@ -313,24 +331,85 @@ func (s *Session) ClassifyProfile(wname string, prof *profile.Combined, wsst boo
 }
 
 // Profile returns the memoised profiling run of the workload under the
-// given method and input.
+// given method and input. The cells of one profile group (see
+// profileGroup) share one execution: the first caller runs the whole group
+// in one core.ProfilePass, its other members riding as lanes, under a
+// singleflight key of the workload, the input, the fingerprint of the
+// instrumented program and the group's cells (see groupKey). Every
+// member's run equals its own ProfilePass.
 func (s *Session) Profile(ctx context.Context, wname string, m MethodSpec, in core.Input) (*core.ProfileRun, error) {
-	key := "profile|" + wname + "|" + m.Name + "|" + in.Name
-	v, err := s.do(ctx, key,
-		func() (any, bool) { pr, ok := s.profiles[key]; return pr, ok },
-		func(v any) { s.profiles[key] = v.(*core.ProfileRun) },
-		func() (any, error) {
-			w, err := s.workload(wname)
-			if err != nil {
-				return nil, err
+	key := profileKey(wname, m.Name, in)
+	s.mu.Lock()
+	pr, ok := s.profiles[key]
+	s.mu.Unlock()
+	if ok {
+		return pr, nil
+	}
+	w, err := s.workload(wname)
+	if err != nil {
+		return nil, err
+	}
+	group, idx := profileGroup(w, m, in)
+	res, err := instrument.Instrument(w.Program(), group[0].Opts)
+	if err != nil {
+		return nil, err
+	}
+	gkey := groupKey{workload: wname, in: in, prog: ir.Fingerprint(res.Prog)}
+	for _, g := range group {
+		gkey.cells += g.Name + "|"
+	}
+	v, err := s.do(ctx, gkey,
+		func() (any, bool) { runs, ok := s.groups[gkey]; return runs, ok },
+		func(v any) {
+			runs := v.([]*core.ProfileRun)
+			s.groups[gkey] = runs
+			for i, g := range group {
+				s.profiles[profileKey(wname, g.Name, in)] = runs[i]
 			}
-			pr, err := core.ProfilePass(w, in, m.Opts, s.mcfg(ctx))
-			return pr, ctxErr(ctx, err)
+		},
+		func() (any, error) {
+			twins := make([]instrument.Options, 0, len(group)-1)
+			for _, g := range group[1:] {
+				twins = append(twins, g.Opts)
+			}
+			s.profileRuns.Add(1)
+			pr, err := core.ProfilePass(w, in, group[0].Opts, s.mcfg(ctx), twins...)
+			if err != nil {
+				return nil, ctxErr(ctx, err)
+			}
+			runs := append([]*core.ProfileRun{pr}, pr.Lanes...)
+			pr.Lanes = nil
+			return runs, nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*core.ProfileRun), nil
+	return v.([]*core.ProfileRun)[idx], nil
+}
+
+// profileKey is the memo key of one profile cell.
+func profileKey(wname, method string, in core.Input) string {
+	return "profile|" + wname + "|" + method + "|" + in.Name
+}
+
+// profileGroup returns the profile cells one execution computes together
+// with m's on input in, and m's index among them. On the workload's train
+// input a paper method groups with its sample-* twin, exact first: sampling
+// happens inside the stride runtime, so both instrument the same binary
+// (PaperMethods lists the exact methods, then their sampled variants in
+// the same order). Every other cell — edge-only, the ref-input profiles,
+// the paths method — profiles alone.
+func profileGroup(w core.Workload, m MethodSpec, in core.Input) ([]MethodSpec, int) {
+	if in == w.Train() {
+		methods := PaperMethods()
+		n := len(methods) / 2
+		for i, pm := range methods {
+			if pm == m {
+				return []MethodSpec{methods[i%n], methods[i%n+n]}, i / n
+			}
+		}
+	}
+	return []MethodSpec{m}, 0
 }
 
 // Clean returns the memoised uninstrumented run of the workload on input.

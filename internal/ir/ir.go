@@ -109,7 +109,8 @@ const (
 	// line containing M[Src[0]+Imm] (the Itanium lfetch analogue).
 	OpPrefetch
 	// OpAlloc bump-allocates Src[0] bytes from the simulated heap and writes
-	// the address of the new block to Dst.
+	// the address of the new block to Dst; if Src[0] is negative or larger
+	// than the heap has left, nothing is allocated and the result is 0.
 	OpAlloc
 	// OpRand writes a machine-seeded pseudo-random value in [0, Src[0]) to
 	// Dst; if Src[0] is zero or negative the result is 0.

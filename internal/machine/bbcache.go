@@ -442,9 +442,10 @@ func (m *Machine) translateBlock(c *code, bi int32, exact bool) *xblock {
 	// Traced and pair-profiled runs observe every instruction through an
 	// xTrace ahead of it.
 	observe := exact && (m.cfg.Trace != nil || m.pairs != nil)
-	// load+store batching presents the store before a prefetcher or lane
-	// could observe the load, so it forms only when neither is attached.
-	batch := m.pf == nil && m.lanes == nil
+	// load+store batching presents the store before a prefetcher or a lane
+	// with its own hierarchy could observe the load, so it forms only when
+	// neither is attached.
+	batch := m.pf == nil && m.fan == nil
 
 	var g [groupMax]micro
 	ng := 0     // micros pending in g

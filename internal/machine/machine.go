@@ -87,9 +87,11 @@ type Config struct {
 	// changes simulated behavior. Call FinishObs after the final Run to
 	// close the lifecycle accounting.
 	Obs *obs.Collector
-	// Lanes are extra memory systems driven in lockstep with the primary
-	// one above, so one execution yields a run per cache/prefetcher
-	// configuration (see Lane). The program must have no OpHook sites.
+	// Lanes are extra memory systems, each with its own hook bindings,
+	// driven in lockstep with the primary one above, so one execution
+	// yields a run per cache/prefetcher/runtime configuration (see Lane).
+	// A lane shares the primary's hierarchy when no prefetch can be in
+	// flight, and otherwise keeps its own.
 	Lanes []Lane
 	// Interrupt, when non-nil, aborts a running simulation shortly after the
 	// channel becomes readable (typically a context's Done channel): the
@@ -249,8 +251,18 @@ type Machine struct {
 	pairs *PairProfile
 	// pf caches Config.HWPrefetch for the step loop.
 	pf HWPrefetcher
-	// lanes is the runtime state of Config.Lanes (nil without lanes).
+	// lanes is the runtime state of Config.Lanes (nil without lanes): the
+	// lanes with a hierarchy of their own first, then those sharing the
+	// primary's (see attachLanes).
 	lanes []lane
+	// fan is the prefix of lanes with a hierarchy of their own, which every
+	// memory access fans out to (nil when there are none).
+	fan []lane
+	// cur is the lane whose hook is running, or nil: the clock accessors
+	// charge and read its clock instead of the primary's.
+	cur *lane
+	// hasPrefetch records whether the program has an OpPrefetch site.
+	hasPrefetch bool
 	// pollMark is the last Instrs>>16 epoch at which the step loop polled
 	// Interrupt.
 	pollMark uint64
@@ -326,9 +338,6 @@ func New(prog *ir.Program, opts ...Option) (*Machine, error) {
 	if cfg.Obs != nil {
 		m.Hier.EnableObs(cfg.Obs)
 	}
-	for _, l := range cfg.Lanes {
-		m.lanes = append(m.lanes, newLane(l, cfg.SelfCheck))
-	}
 	m.Heap = mem.NewHeap(m.Mem, cfg.HeapBase, cfg.HeapSize)
 	for name, f := range prog.Funcs {
 		m.codes[name] = m.decodeShell(name, f)
@@ -338,6 +347,7 @@ func New(prog *ir.Program, opts ...Option) (*Machine, error) {
 			return nil, err
 		}
 	}
+	m.attachLanes()
 	return m, nil
 }
 
@@ -404,6 +414,7 @@ func (m *Machine) decodeBody(f *ir.Function) error {
 			}
 			if in.Op == ir.OpPrefetch {
 				d.pfClass = uint8(obsClassOf(in))
+				m.hasPrefetch = true
 			}
 			if m.cfg.Trace != nil {
 				d.src = in
@@ -435,11 +446,13 @@ func (m *Machine) Register(id int64, fn HookFunc) {
 	m.hooksDirty = true
 }
 
-// resolveHooks binds every OpHook site to its registered HookFunc so the
-// step loop skips the per-call map lookup. An unregistered hook ID is
-// reported up front — naming the hook, function and instruction — instead
-// of faulting mid-simulation. Functions are visited in sorted order so the
-// error is deterministic.
+// resolveHooks binds every OpHook site to its registered HookFunc — with
+// lanes attached, to one that runs each lane's binding after the primary's
+// (see laneHook) — so the step loop skips the per-call map lookup. A hook
+// ID unregistered on the primary or unbound on a lane is reported up front
+// — naming the lane, hook, function and instruction — instead of faulting
+// mid-simulation. Functions are visited in sorted order so the error is
+// deterministic.
 func (m *Machine) resolveHooks() error {
 	names := make([]string, 0, len(m.codes))
 	for name := range m.codes {
@@ -455,9 +468,18 @@ func (m *Machine) resolveHooks() error {
 					continue
 				}
 				fn := m.hooks[d.hookID]
+				who := "machine"
+				for i := 0; fn != nil && i < len(m.lanes); i++ {
+					if m.lanes[i].hooks[d.hookID] == nil {
+						fn, who = nil, fmt.Sprintf("machine: lane %d", m.lanes[i].idx)
+					}
+				}
 				if fn == nil {
-					return fmt.Errorf("machine: hook %d not registered (instruction %d of %s/%s)",
-						d.hookID, ii, name, c.blockNames[bi])
+					return fmt.Errorf("%s: hook %d not registered (instruction %d of %s/%s)",
+						who, d.hookID, ii, name, c.blockNames[bi])
+				}
+				if m.lanes != nil {
+					fn = m.laneHook(d.hookID, fn)
 				}
 				d.hook = fn
 			}
@@ -474,8 +496,15 @@ func (m *Machine) resolveHooks() error {
 }
 
 // AddCycles charges extra simulated time; profiling hooks use it to model
-// the cost of the runtime routine they represent.
-func (m *Machine) AddCycles(n uint64) { m.cycles += n }
+// the cost of the runtime routine they represent. Inside a lane's hook it
+// charges the lane's clock.
+func (m *Machine) AddCycles(n uint64) {
+	if m.cur != nil {
+		m.cur.skew += n
+		return
+	}
+	m.cycles += n
+}
 
 // Fault records a non-fatal runtime-integrity error raised by a hook (a
 // malformed call, an out-of-range argument). Execution continues — faulting
@@ -493,32 +522,45 @@ func (m *Machine) Fault(err error) {
 // should surface as errors or only as counters.
 func (m *Machine) SelfChecked() bool { return m.cfg.SelfCheck }
 
-// Obs returns the attached effectiveness collector, or nil. Runtime hooks
-// use it to emit trace events through the shared sampled sink.
-func (m *Machine) Obs() *obs.Collector { return m.cfg.Obs }
+// Obs returns the attached effectiveness collector, or nil; inside a lane's
+// hook, the lane's. Runtime hooks use it to emit trace events through the
+// shared sampled sink.
+func (m *Machine) Obs() *obs.Collector {
+	if m.cur != nil {
+		return m.cur.obs
+	}
+	return m.cfg.Obs
+}
 
 // FinishObs closes effectiveness accounting at the current cycle, each
 // lane's at its own clock (see cache.Hierarchy.FinishObs; hierarchies
 // without a collector are skipped). Call once, after the final Run.
 func (m *Machine) FinishObs() {
 	m.Hier.FinishObs(m.cycles)
-	for i := range m.lanes {
-		l := &m.lanes[i]
+	for i := range m.fan {
+		l := &m.fan[i]
 		l.hier.FinishObs(m.cycles + l.skew)
 	}
 }
 
-// Now returns the current simulated cycle.
-func (m *Machine) Now() uint64 { return m.cycles }
+// Now returns the current simulated cycle; inside a lane's hook, the
+// lane's.
+func (m *Machine) Now() uint64 {
+	if m.cur != nil {
+		return m.cycles + m.cur.skew
+	}
+	return m.cycles
+}
 
 // HWPrefetch returns the machine's hardware prefetcher (the configured
 // instance, or the one its factory built at New time), or nil.
 func (m *Machine) HWPrefetch() HWPrefetcher { return m.cfg.HWPrefetch }
 
-// Stats returns execution statistics accumulated so far.
+// Stats returns execution statistics accumulated so far; inside a lane's
+// hook, Cycles is the lane's clock.
 func (m *Machine) Stats() Stats {
 	s := m.stats
-	s.Cycles = m.cycles
+	s.Cycles = m.Now()
 	return s
 }
 
@@ -537,10 +579,10 @@ func (m *Machine) LoadCounts() map[LoadKey]uint64 {
 
 // Run executes the program's entry function to completion and returns its
 // return value. Hooks referenced by the program must all be registered by
-// this point: Run fails immediately — before simulating a single
-// instruction — if any OpHook site names an unregistered hook ID, or with
-// *LaneHookError if lanes are attached and the program has any OpHook
-// site.
+// this point, on the primary with Register and on every lane through
+// Lane.Hooks: Run fails immediately — before simulating a single
+// instruction — if any OpHook site names a hook ID unbound on either, and
+// the error names the lane.
 //
 // Under Config.SelfCheck a shadow-model divergence aborts the run: the
 // models panic with a typed divergence value, which Run converts into the
@@ -552,11 +594,6 @@ func (m *Machine) Run() (ret int64, err error) {
 	if entry == nil {
 		return 0, fmt.Errorf("machine: entry function %q missing", m.prog.Main)
 	}
-	if m.lanes != nil {
-		if e := m.laneHookSite(); e != nil {
-			return 0, e
-		}
-	}
 	if m.hooksDirty {
 		if err := m.resolveHooks(); err != nil {
 			return 0, err
@@ -564,6 +601,7 @@ func (m *Machine) Run() (ret int64, err error) {
 	}
 	if m.cfg.SelfCheck {
 		defer func() {
+			m.cur = nil
 			switch d := recover().(type) {
 			case nil:
 			case *cache.DivergenceError:

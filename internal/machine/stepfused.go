@@ -13,7 +13,8 @@ import (
 // dynamic pairs running as superinstructions. Observers attach inside the
 // memory handlers: the hardware prefetcher's Observe after each demand
 // load, the lane fan-out beside every hierarchy access, and the obs
-// collector and shadow models inside the hierarchy and memory themselves.
+// collector and shadow models inside the hierarchy and memory themselves;
+// lanes' hooks run inside the bound hook itself (see laneHook).
 // Traced and pair-profiled runs execute the exact translation, which the
 // fused one must match bit for bit — cycles, statistics, registers, memory,
 // per-load counts, error identity — as the tests in fused_test.go and
@@ -345,7 +346,7 @@ blocks:
 				}
 				addr := uint64(regs[x.s0] + x.imm)
 				lat := uint64(m.Hier.Load(addr, cycles))
-				if m.lanes != nil {
+				if m.fan != nil {
 					m.laneLoad(c.loadPCs[x.loadSlot], addr, cycles, lat, true)
 				}
 				cycles += lat
@@ -364,7 +365,7 @@ blocks:
 				}
 				addr := uint64(regs[x.s0] + x.imm)
 				lat := uint64(m.Hier.Load(addr, cycles))
-				if m.lanes != nil {
+				if m.fan != nil {
 					m.laneLoad(0, addr, cycles, lat, false)
 				}
 				cycles += lat
@@ -375,7 +376,7 @@ blocks:
 				}
 				addr := uint64(regs[x.s0] + x.imm)
 				lat := uint64(m.Hier.Store(addr, cycles))
-				if m.lanes != nil {
+				if m.fan != nil {
 					m.laneStore(addr, cycles, lat)
 				}
 				cycles += lat
@@ -391,7 +392,7 @@ blocks:
 				// fetched, mirroring lfetch semantics on unmapped pages.
 				if !m.noPf && m.Mem.Mapped(addr) {
 					m.Hier.PrefetchClass(addr, cycles, obs.Class(x.pfClass))
-					if m.lanes != nil {
+					if m.fan != nil {
 						m.lanePrefetch(addr, cycles, obs.Class(x.pfClass))
 					}
 				}
@@ -414,10 +415,13 @@ blocks:
 				c.loadCount[x.loadSlot]++
 
 			case xLoadHook:
-				// No lanes here: Run refuses lanes on a program with hooks.
 				addr := uint64(regs[x.s0] + x.imm)
 				cycles++ // load slot
-				cycles += uint64(m.Hier.Load(addr, cycles))
+				lat := uint64(m.Hier.Load(addr, cycles))
+				if m.fan != nil {
+					m.laneLoad(c.loadPCs[x.loadSlot], addr, cycles, lat, true)
+				}
+				cycles += lat
 				regs[x.dst] = m.Mem.Load(addr)
 				m.stats.LoadRefs++
 				c.loadCount[x.loadSlot]++
@@ -464,7 +468,7 @@ blocks:
 				if x.pred >= 0 && regs[x.pred] == 0 {
 					continue
 				}
-				regs[x.dst] = int64(m.Heap.Alloc(regs[x.s0]))
+				regs[x.dst] = int64(m.Heap.TryAlloc(regs[x.s0]))
 			case xRand:
 				if x.pred >= 0 && regs[x.pred] == 0 {
 					continue

@@ -162,6 +162,15 @@ func (h *Heap) Alloc(size int64) uint64 {
 	return addr
 }
 
+// TryAlloc is Alloc for a size the simulated program computed: a negative
+// size, or one the heap cannot hold, returns 0 instead of panicking.
+func (h *Heap) TryAlloc(size int64) uint64 {
+	if size < 0 || (uint64(size)+7)&^7 > h.end-h.next {
+		return 0
+	}
+	return h.Alloc(size)
+}
+
 // AllocGap skips size bytes without returning them, creating address gaps
 // between consecutive allocations (fragmentation modelling).
 func (h *Heap) AllocGap(size int64) {

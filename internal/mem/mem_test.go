@@ -98,6 +98,23 @@ func TestHeapExhaustionPanics(t *testing.T) {
 	h.Alloc(64)
 }
 
+// TestHeapTryAllocRefuses: the program-facing allocation returns 0 for a
+// negative size or one the heap cannot hold, and leaves the heap as it was.
+func TestHeapTryAllocRefuses(t *testing.T) {
+	h := NewHeap(NewMemory(), 0x1000, 64)
+	if a := h.TryAlloc(32); a != 0x1000 {
+		t.Fatalf("TryAlloc(32) = %#x, want 0x1000", a)
+	}
+	for _, size := range []int64{-1, -1 << 62, 33, 1 << 62} {
+		if a := h.TryAlloc(size); a != 0 || h.Next() != 0x1020 {
+			t.Errorf("TryAlloc(%d) = %#x with next %#x, want 0 and an untouched heap", size, a, h.Next())
+		}
+	}
+	if a := h.TryAlloc(32); a != 0x1020 {
+		t.Errorf("TryAlloc(32) after refusals = %#x, want 0x1020", a)
+	}
+}
+
 // TestFusedLoadStoreEquivalence pins Memory.LoadStore against Load-then-
 // Store on a twin memory across the interesting address relations:
 // same page, different pages, exact aliasing, partial-word aliasing, and

@@ -212,15 +212,20 @@ func (rt *Runtime) Data(key machine.LoadKey) *ProfData {
 // Records returns all records in allocation order.
 func (rt *Runtime) Records() []*ProfData { return rt.data }
 
-// Register installs the runtime's hook on m. Instrumented code invokes it
-// as hook(HookID, dataIndex, address) — or, in paths mode, as
+// Register installs the runtime's hook on m under HookID. Instrumented code
+// invokes it as hook(HookID, dataIndex, address) — or, in paths mode, as
 // hook(HookID, dataIndex, address, pathID).
-func (rt *Runtime) Register(m *machine.Machine) {
+func (rt *Runtime) Register(m *machine.Machine) { m.Register(HookID, rt.Hook()) }
+
+// Hook returns the runtime's strideProf routine as a machine hook, for
+// binding under HookID: on the primary with Register, or on a
+// machine.Lane, where it charges the lane's clock.
+func (rt *Runtime) Hook() machine.HookFunc {
 	want := 2
 	if rt.cfg.Paths {
 		want = 3
 	}
-	m.Register(HookID, func(mm *machine.Machine, args []int64) {
+	return func(mm *machine.Machine, args []int64) {
 		if len(args) != want {
 			rt.MalformedCalls++
 			mm.Obs().Emit(obs.TraceEvent{
@@ -259,7 +264,7 @@ func (rt *Runtime) Register(m *machine.Machine) {
 			cost = rt.Profile(pd, args[1])
 		}
 		mm.AddCycles(cost)
-	})
+	}
 }
 
 // RecordRefDistance notes that the load is being referenced when the
