@@ -68,11 +68,13 @@ race-full:
 # prefetcher, the one figure job whose hooked lanes keep hierarchies of
 # their own) and the prefetcher arena, all computed in parallel, must equal
 # their committed outputs. The arena golden belongs to the end-to-end
-# benchmark and is only read here.
+# benchmark and is only read here; the same arena run also writes its
+# per-cell obs counters, which must equal the metrics golden.
 golden:
 	$(GO) run ./cmd/experiments -figure all -j 2 | cmp - figures_output.txt
 	$(GO) run ./cmd/experiments -figure all -j 2 -hwpf rpt | cmp - internal/experiments/testdata/figures_hwpf_rpt.golden
-	$(GO) run ./cmd/experiments -figure arena -j 2 | cmp - e2ebench/testdata/arena_all.golden
+	$(GO) run ./cmd/experiments -figure arena -j 2 -metrics /tmp/stridepf-arena-metrics.json | cmp - e2ebench/testdata/arena_all.golden
+	cmp /tmp/stridepf-arena-metrics.json internal/experiments/testdata/arena_metrics.golden
 
 # Short coverage-guided fuzzing runs seeded from testdata/fuzz corpora.
 # ~10s per target: enough to exercise the mutator, not a soak test.

@@ -17,27 +17,50 @@ type Config struct {
 	Name string
 	// Size is the capacity in bytes.
 	Size int
-	// Assoc is the set associativity.
+	// Assoc is the set associativity, at most 16: each set keeps its
+	// recency order as one 64-bit word of 4-bit way numbers. New panics on
+	// a larger value.
 	Assoc int
-	// LineSize is the cache-line size in bytes (the hierarchy requires all
-	// levels to share one line size).
+	// LineSize is the cache-line size in bytes: a power of two, at least 2
+	// (the hierarchy requires all levels to share one line size).
 	LineSize int
 	// HitLatency is the access latency, in cycles, when the line is found
 	// at this level.
 	HitLatency int
 }
 
+// maxAssoc is the widest set a recency word can order.
+const maxAssoc = 16
+
 // Cache is one set-associative LRU cache level.
+//
+// Each set is Assoc slots of keys plus one recency word. A key is the
+// resident line + 1, or 0 for an invalid way. The recency word lists the
+// set's way numbers as 4-bit nibbles, most recently used in the low
+// nibble: valid ways first, in recency order, then invalid ways in
+// ascending way order (New and Reset start every set at 0, 1, ...,
+// Assoc-1, and only a fill makes a way valid). Moving a way to the front
+// is a shift and a mask, and a hit on the most recent way writes nothing.
+//
+// The back nibble is therefore always the fill's victim: the last invalid
+// way while one remains, else the least recently used way. That is
+// exactly the policy the shadow model states with timestamps (strict LRU,
+// earliest index on ties): every hit or fill gives the touched way a
+// fresh, strictly larger stamp, so among valid ways the stamps are
+// distinct and the smallest one is simply the least recently touched way.
 type Cache struct {
-	cfg     Config
-	sets    int
-	shift   uint // log2(LineSize)
-	mask    uint64
-	tags    []uint64 // sets*assoc entries; line address (addr >> shift)
-	valid   []bool
-	lastUse []uint64 // LRU timestamps
-	mru     []int32  // per-set way of the most recent hit or fill
-	tick    uint64
+	cfg   Config
+	sets  int
+	assoc int
+	shift uint // log2(LineSize)
+	mask  uint64
+	keys  []uint64 // sets*assoc entries, set-major: line+1, or 0 when invalid
+	order []uint64 // per-set recency word
+	// missKey, when non-zero, is the key of a line known to be absent: a
+	// missing lookup sets it, and any insert or Reset clears it, since
+	// only a fill can make a line present. The fill that follows a miss
+	// then takes the back way without scanning the set again.
+	missKey uint64
 
 	// Hits and Misses count lookups at this level.
 	Hits, Misses uint64
@@ -53,26 +76,29 @@ type Cache struct {
 }
 
 // New returns an empty cache with the given geometry. It panics if the
-// geometry is not a power-of-two line size or does not divide evenly.
+// line size is not a power of two of at least 2, the lines do not divide
+// evenly into sets, or the associativity exceeds 16.
 func New(cfg Config) *Cache {
-	if cfg.LineSize <= 0 || cfg.LineSize&(cfg.LineSize-1) != 0 {
-		panic(fmt.Sprintf("cache: line size %d is not a power of two", cfg.LineSize))
+	if cfg.LineSize < 2 || cfg.LineSize&(cfg.LineSize-1) != 0 {
+		panic(fmt.Sprintf("cache: line size %d is not a power of two of at least 2", cfg.LineSize))
 	}
 	if cfg.Assoc <= 0 || cfg.Size <= 0 {
 		panic(fmt.Sprintf("cache %s: bad size/assoc %d/%d", cfg.Name, cfg.Size, cfg.Assoc))
 	}
+	if cfg.Assoc > maxAssoc {
+		panic(fmt.Sprintf("cache %s: assoc %d exceeds %d", cfg.Name, cfg.Assoc, maxAssoc))
+	}
 	lines := cfg.Size / cfg.LineSize
-	if lines%cfg.Assoc != 0 {
+	if lines == 0 || lines%cfg.Assoc != 0 {
 		panic(fmt.Sprintf("cache %s: %d lines not divisible by assoc %d", cfg.Name, lines, cfg.Assoc))
 	}
 	sets := lines / cfg.Assoc
 	c := &Cache{
-		cfg:     cfg,
-		sets:    sets,
-		tags:    make([]uint64, lines),
-		valid:   make([]bool, lines),
-		lastUse: make([]uint64, lines),
-		mru:     make([]int32, sets),
+		cfg:   cfg,
+		sets:  sets,
+		assoc: cfg.Assoc,
+		keys:  make([]uint64, lines),
+		order: make([]uint64, sets),
 	}
 	for ls := cfg.LineSize; ls > 1; ls >>= 1 {
 		c.shift++
@@ -82,7 +108,22 @@ func New(cfg Config) *Cache {
 		// Non-power-of-two set counts use modulo indexing.
 		c.mask = 0
 	}
+	c.resetOrder()
 	return c
+}
+
+// resetOrder gives every set the recency word 0, 1, ..., Assoc-1 from the
+// front. Which invalid way a fill takes is not observable, but this order
+// makes it the last one by index, as in the shadow model, so divergence
+// dumps show both models' ways in the same places.
+func (c *Cache) resetOrder() {
+	var ord uint64
+	for w := c.assoc - 1; w >= 0; w-- {
+		ord = ord<<4 | uint64(w)
+	}
+	for i := range c.order {
+		c.order[i] = ord
+	}
 }
 
 // Config returns the level's configuration.
@@ -95,14 +136,24 @@ func (c *Cache) setIndex(line uint64) int {
 	return int(line % uint64(c.sets))
 }
 
-// Lookup probes the cache for the line containing addr. On a hit the line's
-// LRU stamp is refreshed. It does not fill on miss; use Insert.
+// promote returns recency word ord with the way at position pos moved to
+// the front: the ways before it shift back one place.
+func promote(ord uint64, pos int) uint64 {
+	sh := 4 * uint(pos)
+	way := ord >> sh & 0xf
+	below := ord & (1<<sh - 1)
+	above := ord &^ (1<<(sh+4) - 1) // 1<<64 is 0 in Go, so pos 15 works
+	return above | below<<4 | way
+}
+
+// Lookup probes the cache for the line containing addr. On a hit the line
+// becomes the set's most recently used. It does not fill on miss; use
+// Insert.
 //
-// The most-recently-hit way of each set is probed first: repeated accesses
-// to the same line (the zero-stride/same-line streams the paper's Figure 6
-// fast path targets) resolve in one tag compare instead of a full
-// associative scan. The fast path leaves exactly the same hit/miss counts
-// and LRU state as the full probe.
+// The probe walks the set in recency order, so the most recently used way
+// is compared first: repeated accesses to the same line (the
+// zero-stride/same-line streams the paper's Figure 6 fast path targets)
+// resolve in one tag compare and leave the recency word untouched.
 func (c *Cache) Lookup(addr uint64) bool {
 	hit, _ := c.lookupTouch(addr, true)
 	return hit
@@ -113,25 +164,26 @@ func (c *Cache) Lookup(addr uint64) bool {
 // simulated behavior. When demand is true and the hit way carries a
 // prefetch tag, the tag is consumed (first demand touch) and returned;
 // non-demand probes (a prefetch locating its fill source) leave tags alone.
+// A miss records the line as known absent for the insert that follows.
 func (c *Cache) lookupTouch(addr uint64, demand bool) (hit bool, tag uint8) {
-	line := addr >> c.shift
-	set := c.setIndex(line)
-	base := set * c.cfg.Assoc
-	c.tick++
-	if i := base + int(c.mru[set]); c.valid[i] && (c.tags[i] == line || brokenMRUProbe) {
-		c.lastUse[i] = c.tick
+	key := addr>>c.shift + 1
+	set := c.setIndex(key - 1)
+	base := set * c.assoc
+	ord := c.order[set]
+	mru := base + int(ord&0xf)
+	if k := c.keys[mru]; k == key || (brokenMRUProbe && k != 0) {
 		c.Hits++
-		return true, c.consumeProv(i, demand)
+		return true, c.consumeProv(mru, demand)
 	}
-	for w := 0; w < c.cfg.Assoc; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
-			c.lastUse[base+w] = c.tick
-			c.mru[set] = int32(w)
+	for pos := 1; pos < c.assoc; pos++ {
+		if i := base + int(ord>>(4*uint(pos))&0xf); c.keys[i] == key {
+			c.order[set] = promote(ord, pos)
 			c.Hits++
-			return true, c.consumeProv(base+w, demand)
+			return true, c.consumeProv(i, demand)
 		}
 	}
 	c.Misses++
+	c.missKey = key
 	return false, 0
 }
 
@@ -150,14 +202,10 @@ func (c *Cache) consumeProv(i int, demand bool) uint8 {
 
 // Contains probes without updating LRU state or statistics.
 func (c *Cache) Contains(addr uint64) bool {
-	line := addr >> c.shift
-	set := c.setIndex(line)
-	base := set * c.cfg.Assoc
-	if i := base + int(c.mru[set]); c.valid[i] && c.tags[i] == line {
-		return true
-	}
-	for w := 0; w < c.cfg.Assoc; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
+	key := addr>>c.shift + 1
+	base := c.setIndex(key-1) * c.assoc
+	for _, k := range c.keys[base : base+c.assoc] {
+		if k == key {
 			return true
 		}
 	}
@@ -177,37 +225,29 @@ func (c *Cache) Insert(addr uint64) (evicted uint64, didEvict bool) {
 // hierarchy can classify evicted-unused prefetched lines and open harm
 // windows. Eviction decisions and LRU state are identical to Insert's.
 func (c *Cache) insertProv(addr uint64, prov uint8) (evicted uint64, evictedProv uint8, didEvict bool) {
-	line := addr >> c.shift
-	set := c.setIndex(line)
-	base := set * c.cfg.Assoc
-	c.tick++
-	victim := base
-	for w := 0; w < c.cfg.Assoc; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == line {
-			c.lastUse[i] = c.tick
-			c.mru[set] = int32(w)
-			// Refresh in place keeps the existing tag: a line's lifecycle is
-			// owned by whichever fill brought it in.
-			return 0, 0, false
-		}
-		if !c.valid[i] {
-			victim = i
-			// Prefer an invalid way but keep scanning for an existing copy.
-			continue
-		}
-		if c.valid[victim] && c.lastUse[i] < c.lastUse[victim] {
-			victim = i
+	key := addr>>c.shift + 1
+	set := c.setIndex(key - 1)
+	base := set * c.assoc
+	ord := c.order[set]
+	absent := c.missKey == key
+	c.missKey = 0
+	if !absent {
+		for pos := 0; pos < c.assoc; pos++ {
+			if c.keys[base+int(ord>>(4*uint(pos))&0xf)] == key {
+				// Refresh in place keeps the existing tag: a line's
+				// lifecycle is owned by whichever fill brought it in.
+				c.order[set] = promote(ord, pos)
+				return 0, 0, false
+			}
 		}
 	}
-	didEvict = c.valid[victim]
-	evicted = c.tags[victim] << c.shift
-	c.tags[victim] = line
-	c.valid[victim] = true
-	c.lastUse[victim] = c.tick
-	c.mru[set] = int32(victim - base)
+	back := c.assoc - 1
+	victim := base + int(ord>>(4*uint(back))&0xf)
+	c.order[set] = promote(ord, back)
+	old := c.keys[victim]
+	c.keys[victim] = key
 	if c.prov != nil {
-		if didEvict {
+		if old != 0 {
 			evictedProv = c.prov[victim]
 			if evictedProv != 0 {
 				c.pfEvicted[evictedProv-1]++
@@ -215,21 +255,24 @@ func (c *Cache) insertProv(addr uint64, prov uint8) (evicted uint64, evictedProv
 		}
 		c.prov[victim] = prov
 	}
-	return evicted, evictedProv, didEvict
+	if old == 0 {
+		return 0, 0, false
+	}
+	return (old - 1) << c.shift, evictedProv, true
 }
 
 // enableObs allocates the provenance arrays; classes bounds the per-class
 // counters.
 func (c *Cache) enableObs(classes int) {
-	c.prov = make([]uint8, len(c.tags))
+	c.prov = make([]uint8, len(c.keys))
 	c.pfHits = make([]uint64, classes)
 	c.pfEvicted = make([]uint64, classes)
 }
 
 // residentProv counts still-tagged resident lines per class into out.
 func (c *Cache) residentProv(out []uint64) {
-	for i, v := range c.valid {
-		if v && c.prov[i] != 0 {
+	for i, k := range c.keys {
+		if k != 0 && c.prov[i] != 0 {
 			out[c.prov[i]-1]++
 		}
 	}
@@ -237,21 +280,13 @@ func (c *Cache) residentProv(out []uint64) {
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
-	for i := range c.mru {
-		c.mru[i] = 0
-	}
+	clear(c.keys)
+	c.resetOrder()
+	c.missKey = 0
 	c.Hits, c.Misses = 0, 0
-	c.tick = 0
 	if c.prov != nil {
-		for i := range c.prov {
-			c.prov[i] = 0
-		}
-		for i := range c.pfHits {
-			c.pfHits[i] = 0
-			c.pfEvicted[i] = 0
-		}
+		clear(c.prov)
+		clear(c.pfHits)
+		clear(c.pfEvicted)
 	}
 }

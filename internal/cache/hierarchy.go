@@ -1,7 +1,7 @@
 package cache
 
 import (
-	"sort"
+	"fmt"
 
 	"stridepf/internal/obs"
 )
@@ -17,7 +17,10 @@ type HierarchyConfig struct {
 	// many cycles at most. Zero means stores cost full load latency.
 	StoreLatency int
 	// MaxInFlight bounds the number of simultaneously outstanding fills
-	// (an MSHR-like limit); further prefetches are dropped. Zero means 16.
+	// (an MSHR-like limit); further prefetches are dropped. Zero means 16;
+	// a negative value is invalid and makes NewHierarchy panic. The
+	// hierarchy keeps exactly this many MSHR slots in a fixed array and
+	// scans them linearly, as hardware does.
 	MaxInFlight int
 	// TLB, when non-nil, adds a data TLB: demand loads and stores pay the
 	// walk penalty on translation misses. Prefetches that miss the TLB are
@@ -55,22 +58,21 @@ type Hierarchy struct {
 	// disagreement (see shadow.go and EnableSelfCheck).
 	check *selfCheck
 
-	// inflight maps a line address (addr >> shift) to the cycle its fill
-	// into L1 completes.
-	inflight map[uint64]uint64
+	// mshrs holds the outstanding fills, one entry per busy MSHR, in no
+	// particular order; its capacity is MaxInFlight and never grows.
+	// done is completeInflight's scratch of the same capacity.
+	mshrs, done []mshr
 
 	// obs, when non-nil, receives prefetch-effectiveness events (see
 	// EnableObs). Everything below it is observation-only state: none of it
 	// may influence latencies, evictions or the counters the shadow model
 	// compares.
 	obs *obs.Collector
-	// inflightClass remembers which class issued each in-flight prefetch.
-	inflightClass map[uint64]obs.Class
 	// victims maps lines evicted from L1 by a prefetch fill to the evicting
 	// class; a demand miss on such a line is charged as Harmful. Entries
 	// close when the line is refilled into L1. The table is bounded
 	// (victimTableCap); overflowed victims are counted, not tracked.
-	victims map[uint64]obs.Class
+	victims *LineTable
 
 	// Stats.
 	Loads            uint64 // demand loads
@@ -82,12 +84,24 @@ type Hierarchy struct {
 	DemandMissCycles uint64 // cycles stalled on demand accesses
 }
 
+// mshr is one outstanding fill: the line (addr >> shift), the cycle its
+// fill into L1 completes, and the class that issued it.
+type mshr struct {
+	line, ready uint64
+	class       obs.Class
+}
+
 // NewHierarchy builds the hierarchy. All levels must share one line size.
+// It panics on a configuration the fixed tables cannot hold: no levels, a
+// negative MaxInFlight, or a level New rejects.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	if len(cfg.Levels) == 0 {
 		panic("cache: hierarchy needs at least one level")
 	}
-	h := &Hierarchy{cfg: cfg, inflight: make(map[uint64]uint64)}
+	if cfg.MaxInFlight < 0 {
+		panic(fmt.Sprintf("cache: negative MaxInFlight %d", cfg.MaxInFlight))
+	}
+	h := &Hierarchy{cfg: cfg}
 	line := cfg.Levels[0].LineSize
 	for _, lc := range cfg.Levels {
 		if lc.LineSize != line {
@@ -101,6 +115,8 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	if h.cfg.MaxInFlight == 0 {
 		h.cfg.MaxInFlight = 16
 	}
+	h.mshrs = make([]mshr, 0, h.cfg.MaxInFlight)
+	h.done = make([]mshr, 0, h.cfg.MaxInFlight)
 	if cfg.TLB != nil {
 		h.tlb = NewTLB(*cfg.TLB)
 	}
@@ -118,8 +134,7 @@ const victimTableCap = 8192
 // CheckMetricsNeutrality). Enable before the first access.
 func (h *Hierarchy) EnableObs(c *obs.Collector) {
 	h.obs = c
-	h.inflightClass = make(map[uint64]obs.Class)
-	h.victims = make(map[uint64]obs.Class)
+	h.victims = NewLineTable(victimTableCap)
 	for _, l := range h.levels {
 		l.enableObs(int(obs.NumClasses))
 	}
@@ -136,8 +151,8 @@ func (h *Hierarchy) FinishObs(now uint64) {
 	if h.obs == nil {
 		return
 	}
-	for line := range h.inflight {
-		h.obs.Classes[h.inflightClass[line]].InFlightEnd++
+	for _, m := range h.mshrs {
+		h.obs.Classes[m.class].InFlightEnd++
 	}
 	h.obs.Levels = h.obs.Levels[:0]
 	for i, l := range h.levels {
@@ -214,41 +229,36 @@ func (h *Hierarchy) access(addr uint64, now uint64) int {
 		}
 		return h.levels[0].cfg.HitLatency
 	}
-	// In-flight fill? (The map probe is gated on the common case of no
-	// outstanding fills at all — clean runs never prefetch.)
-	if len(h.inflight) > 0 {
-		if ready, ok := h.inflight[line]; ok {
-			var lat int
-			if ready > now {
-				lat = int(ready-now) + h.levels[0].cfg.HitLatency
-				h.PrefetchLate++
-				if h.obs != nil {
-					h.obs.DemandLate(h.inflightClass[line], addr, now)
-				}
-			} else {
-				lat = h.levels[0].cfg.HitLatency
-				h.PrefetchUseful++
-				if h.obs != nil {
-					h.obs.DemandUseful(h.inflightClass[line], addr, now)
-				}
+	// In-flight fill? (Clean runs never prefetch, so the MSHR scan is
+	// usually empty.)
+	if i := h.findMSHR(line); i >= 0 {
+		m := h.mshrs[i]
+		var lat int
+		if m.ready > now {
+			lat = int(m.ready-now) + h.levels[0].cfg.HitLatency
+			h.PrefetchLate++
+			if h.obs != nil {
+				h.obs.DemandLate(m.class, addr, now)
 			}
-			delete(h.inflight, line)
-			if h.inflightClass != nil {
-				delete(h.inflightClass, line)
+		} else {
+			lat = h.levels[0].cfg.HitLatency
+			h.PrefetchUseful++
+			if h.obs != nil {
+				h.obs.DemandUseful(m.class, addr, now)
 			}
-			// The demand access consumed the prefetch; the installed line is
-			// demand-owned from here on.
-			h.fillAll(addr, now)
-			h.DemandMissCycles += uint64(lat)
-			return lat
 		}
+		h.freeMSHR(i)
+		// The demand access consumed the prefetch; the installed line is
+		// demand-owned from here on.
+		h.fillAll(addr, now)
+		h.DemandMissCycles += uint64(lat)
+		return lat
 	}
 	// An L1 miss with no in-flight help: no prefetch covered it. If the
 	// line was pushed out by a prefetch fill, that fill did active harm.
 	if h.obs != nil {
-		if cls, ok := h.victims[line]; ok {
-			delete(h.victims, line)
-			h.obs.Harmful(cls, addr, now)
+		if cls, ok := h.victims.Take(line); ok {
+			h.obs.Harmful(obs.Class(cls), addr, now)
 		}
 		h.obs.UncoveredMiss()
 	}
@@ -303,18 +313,18 @@ func (h *Hierarchy) PrefetchClass(addr uint64, now uint64, class obs.Class) {
 		}
 		return
 	}
-	if _, ok := h.inflight[line]; ok {
+	if h.findMSHR(line) >= 0 {
 		h.PrefetchDrops++
 		if h.obs != nil {
 			h.obs.PrefetchRedundant(class, addr, now)
 		}
 		return
 	}
-	if len(h.inflight) >= h.cfg.MaxInFlight {
+	if len(h.mshrs) == cap(h.mshrs) {
 		// MSHRs look full, but fills that have already completed free their
 		// entries (install the lines) before we give up.
 		h.completeInflight(now)
-		if len(h.inflight) >= h.cfg.MaxInFlight {
+		if len(h.mshrs) == cap(h.mshrs) {
 			h.PrefetchDrops++
 			if h.obs != nil {
 				h.obs.PrefetchDroppedMSHR(class, addr, now)
@@ -332,11 +342,28 @@ func (h *Hierarchy) PrefetchClass(addr uint64, now uint64, class obs.Class) {
 			break
 		}
 	}
-	h.inflight[line] = now + uint64(fill)
+	h.mshrs = append(h.mshrs, mshr{line: line, ready: now + uint64(fill), class: class})
 	if h.obs != nil {
-		h.inflightClass[line] = class
 		h.obs.PrefetchIssued(class, addr, now)
 	}
+}
+
+// findMSHR returns the index of line's outstanding fill, or -1.
+func (h *Hierarchy) findMSHR(line uint64) int {
+	for i := range h.mshrs {
+		if h.mshrs[i].line == line {
+			return i
+		}
+	}
+	return -1
+}
+
+// freeMSHR releases entry i; the array is unordered, so the last entry
+// moves into the hole.
+func (h *Hierarchy) freeMSHR(i int) {
+	last := len(h.mshrs) - 1
+	h.mshrs[i] = h.mshrs[last]
+	h.mshrs = h.mshrs[:last]
 }
 
 // CompleteInflight installs any fills that have completed by time now.
@@ -351,27 +378,32 @@ func (h *Hierarchy) CompleteInflight(now uint64) {
 }
 
 // completeInflight installs completed fills in ascending line order. The
-// canonical order matters: each install refreshes LRU state, so iterating
-// the map directly would make eviction decisions — and therefore cycle
-// counts — depend on Go's randomized map iteration order.
+// canonical order matters: each install refreshes LRU state, so an order
+// that followed the MSHR array's slot order would make eviction decisions —
+// and therefore cycle counts — depend on the history of frees. Completed
+// entries move into the done scratch, insertion-sorted by line (at most
+// MaxInFlight of them), and the rest stay outstanding.
 func (h *Hierarchy) completeInflight(now uint64) {
-	var done []uint64
-	for line, ready := range h.inflight {
-		if ready <= now {
-			done = append(done, line)
+	done, kept := h.done[:0], h.mshrs[:0]
+	for _, m := range h.mshrs {
+		if m.ready > now {
+			kept = append(kept, m)
+			continue
 		}
+		j := len(done)
+		done = append(done, m)
+		for ; j > 0 && done[j-1].line > m.line; j-- {
+			done[j] = done[j-1]
+		}
+		done[j] = m
 	}
-	sort.Slice(done, func(i, j int) bool { return done[i] < done[j] })
-	for _, line := range done {
+	h.mshrs = kept
+	for _, m := range done {
 		var prov uint8
 		if h.obs != nil {
-			if cls, ok := h.inflightClass[line]; ok {
-				prov = uint8(cls) + 1
-				delete(h.inflightClass, line)
-			}
+			prov = uint8(m.class) + 1
 		}
-		h.fillUpTo(line<<h.shift, len(h.levels), prov, now)
-		delete(h.inflight, line)
+		h.fillUpTo(m.line<<h.shift, len(h.levels), prov, now)
 	}
 }
 
@@ -388,7 +420,7 @@ func (h *Hierarchy) fillUpTo(addr uint64, upto int, prov uint8, now uint64) {
 		if i != 0 || h.obs == nil {
 			continue
 		}
-		delete(h.victims, addr>>h.shift)
+		h.victims.Take(addr >> h.shift)
 		if !didEvict {
 			continue
 		}
@@ -396,9 +428,7 @@ func (h *Hierarchy) fillUpTo(addr uint64, upto int, prov uint8, now uint64) {
 		case evProv != 0:
 			h.obs.EvictedUnused(obs.Class(evProv-1), ev, now)
 		case prov != 0:
-			if len(h.victims) < victimTableCap {
-				h.victims[ev>>h.shift] = obs.Class(prov - 1)
-			} else {
+			if !h.victims.Put(ev>>h.shift, prov-1) {
 				h.obs.VictimOverflow++
 			}
 		}
@@ -424,10 +454,9 @@ func (h *Hierarchy) Reset() {
 	if h.tlb != nil {
 		h.tlb.Reset()
 	}
-	h.inflight = make(map[uint64]uint64)
-	if h.obs != nil {
-		h.inflightClass = make(map[uint64]obs.Class)
-		h.victims = make(map[uint64]obs.Class)
+	h.mshrs = h.mshrs[:0]
+	if h.victims != nil {
+		h.victims.Reset()
 	}
 	h.Loads, h.Stores, h.Prefetches = 0, 0, 0
 	h.PrefetchDrops, h.PrefetchLate, h.PrefetchUseful = 0, 0, 0

@@ -129,8 +129,9 @@ func TestEffectivenessHandComputed(t *testing.T) {
 	}
 }
 
-// TestEffectivenessResetClearsObservation checks Reset rebuilds the
-// observation maps so a reused hierarchy starts with a clean slate.
+// TestEffectivenessResetClearsObservation checks Reset empties the MSHR
+// array (which carries each fill's class) and the victim table so a reused
+// hierarchy starts with a clean slate.
 func TestEffectivenessResetClearsObservation(t *testing.T) {
 	h := NewHierarchy(HierarchyConfig{
 		Levels:     []Config{{Name: "L1D", Size: 256, Assoc: 1, LineSize: 64, HitLatency: 2}},
@@ -140,7 +141,7 @@ func TestEffectivenessResetClearsObservation(t *testing.T) {
 	h.EnableObs(col)
 	h.PrefetchClass(0x40, 0, obs.ClassSSST)
 	h.Reset()
-	if len(h.inflightClass) != 0 || len(h.victims) != 0 {
+	if len(h.mshrs) != 0 || h.victims.n != 0 {
 		t.Fatal("Reset left observation state behind")
 	}
 	// After reset the hierarchy must still observe into the same collector.

@@ -414,12 +414,15 @@ func (sc *selfCheck) dumpSets(h *Hierarchy, addr uint64) string {
 		base := set * l.cfg.Assoc
 		fmt.Fprintf(&b, "%s set %d (line %#x):\n  optimized:", l.cfg.Name, set, line)
 		for w := 0; w < l.cfg.Assoc; w++ {
-			j := base + w
-			if l.valid[j] {
-				fmt.Fprintf(&b, " [%d]=%#x@%d", w, l.tags[j], l.lastUse[j])
+			if k := l.keys[base+w]; k != 0 {
+				fmt.Fprintf(&b, " [%d]=%#x", w, k-1)
 			} else {
 				fmt.Fprintf(&b, " [%d]=-", w)
 			}
+		}
+		fmt.Fprintf(&b, " recency(MRU first):")
+		for pos := 0; pos < l.cfg.Assoc; pos++ {
+			fmt.Fprintf(&b, " %d", l.order[set]>>(4*uint(pos))&0xf)
 		}
 		sl := sc.shadow.levels[i]
 		ws := sl.ways[sl.set(addr)]
@@ -452,7 +455,7 @@ func (sc *selfCheck) compareCounters(h *Hierarchy, op string, addr, now uint64) 
 		{"PrefetchLate", h.PrefetchLate, s.prefetchLate},
 		{"PrefetchUseful", h.PrefetchUseful, s.prefetchUseful},
 		{"DemandMissCycles", h.DemandMissCycles, s.demandMissCycles},
-		{"inflight", uint64(len(h.inflight)), uint64(len(s.inflight))},
+		{"inflight", uint64(len(h.mshrs)), uint64(len(s.inflight))},
 	}
 	for i, l := range h.levels {
 		pairs = append(pairs,

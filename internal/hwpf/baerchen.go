@@ -28,10 +28,10 @@ type bcEntry struct {
 // consecutive predictions per trigger — the aggressiveness axis Sung et
 // al.'s selection-criteria study sweeps.
 type BaerChen struct {
-	cfg  Config
-	sets int
-	tab  []bcEntry
-	tick uint64
+	cfg     Config
+	setMask uint64
+	tab     []bcEntry
+	tick    uint64
 
 	// Issued, Replaced and Wrapped mirror the RPT's counters (see Counters).
 	Issued, Replaced, Wrapped uint64
@@ -39,11 +39,8 @@ type BaerChen struct {
 
 // NewBaerChen returns an empty table.
 func NewBaerChen(cfg Config) *BaerChen {
-	cfg.fill()
-	if cfg.Entries%cfg.Ways != 0 {
-		panic("hwpf: entries must divide by ways")
-	}
-	return &BaerChen{cfg: cfg, sets: cfg.Entries / cfg.Ways, tab: make([]bcEntry, cfg.Entries)}
+	mask := cfg.tableMask()
+	return &BaerChen{cfg: cfg, setMask: mask, tab: make([]bcEntry, cfg.Entries)}
 }
 
 // Name returns the scheme's registry name.
@@ -57,8 +54,7 @@ func (p *BaerChen) Counters() Counters {
 // Observe records one execution of the static load identified by pc at
 // address addr, advancing the automaton and possibly issuing prefetches.
 func (p *BaerChen) Observe(pc uint64, addr uint64, hier *cache.Hierarchy, now uint64) {
-	set := int(pc % uint64(p.sets))
-	base := set * p.cfg.Ways
+	base := int(pc&p.setMask) * p.cfg.Ways
 	p.tick++
 
 	victim := base

@@ -7,26 +7,38 @@ import (
 
 // msEntry is one multi-stride table entry: the load's previous address and
 // a ring of its most recent deltas (2×MaxPeriod of them, enough to confirm
-// any period up to MaxPeriod twice over).
+// any period up to MaxPeriod twice over). The ring is the entry's own
+// fixed slice of the table's backing array; a new occupant reuses it
+// without clearing, since n bounds what at may read.
 type msEntry struct {
 	valid bool
 	tag   uint64
 	prev  uint64
 	lru   uint64
 	hist  []int64
-	n     uint64
+	pos   int // ring slot the next delta goes to
+	n     int // deltas recorded, saturating at len(hist)
 }
 
 // push appends a delta to the ring.
 func (e *msEntry) push(d int64) {
-	e.hist[e.n%uint64(len(e.hist))] = d
-	e.n++
+	e.hist[e.pos] = d
+	if e.pos++; e.pos == len(e.hist) {
+		e.pos = 0
+	}
+	if e.n < len(e.hist) {
+		e.n++
+	}
 }
 
 // at returns the delta i positions back from the latest (at(0) is the most
-// recent). Callers must ensure i < min(n, len(hist)).
+// recent). Callers must ensure i < n.
 func (e *msEntry) at(i int) int64 {
-	return e.hist[(e.n-1-uint64(i))%uint64(len(e.hist))]
+	j := e.pos - 1 - i
+	if j < 0 {
+		j += len(e.hist)
+	}
+	return e.hist[j]
 }
 
 // period returns the smallest period p <= max such that the last p deltas
@@ -34,7 +46,7 @@ func (e *msEntry) at(i int) int64 {
 // period has been confirmed yet.
 func (e *msEntry) period(max int) int {
 	for p := 1; p <= max; p++ {
-		if e.n < uint64(2*p) {
+		if e.n < 2*p {
 			return 0
 		}
 		ok, nonzero := true, false
@@ -69,10 +81,10 @@ func (e *msEntry) period(max int) int {
 // is the p > 1 coverage the single-stride automatons can never reach (they
 // flap between TRANSIENT and NO_PRED on alternating deltas).
 type MultiStride struct {
-	cfg  Config
-	sets int
-	tab  []msEntry
-	tick uint64
+	cfg     Config
+	setMask uint64
+	tab     []msEntry
+	tick    uint64
 
 	// Issued, Replaced and Wrapped mirror the RPT's counters; Detected
 	// counts Observe calls that confirmed some period.
@@ -81,11 +93,14 @@ type MultiStride struct {
 
 // NewMultiStride returns an empty table.
 func NewMultiStride(cfg Config) *MultiStride {
-	cfg.fill()
-	if cfg.Entries%cfg.Ways != 0 {
-		panic("hwpf: entries must divide by ways")
+	mask := cfg.tableMask()
+	p := &MultiStride{cfg: cfg, setMask: mask, tab: make([]msEntry, cfg.Entries)}
+	ring := 2 * cfg.MaxPeriod
+	hist := make([]int64, cfg.Entries*ring)
+	for i := range p.tab {
+		p.tab[i].hist = hist[i*ring : (i+1)*ring : (i+1)*ring]
 	}
-	return &MultiStride{cfg: cfg, sets: cfg.Entries / cfg.Ways, tab: make([]msEntry, cfg.Entries)}
+	return p
 }
 
 // Name returns the scheme's registry name.
@@ -99,8 +114,7 @@ func (p *MultiStride) Counters() Counters {
 // Observe records one execution of the static load identified by pc at
 // address addr, updating the delta history and possibly issuing prefetches.
 func (p *MultiStride) Observe(pc uint64, addr uint64, hier *cache.Hierarchy, now uint64) {
-	set := int(pc % uint64(p.sets))
-	base := set * p.cfg.Ways
+	base := int(pc&p.setMask) * p.cfg.Ways
 	p.tick++
 
 	victim := base
@@ -127,14 +141,15 @@ func (p *MultiStride) Observe(pc uint64, addr uint64, hier *cache.Hierarchy, now
 	}
 	p.tab[victim] = msEntry{
 		valid: true, tag: pc, prev: addr, lru: p.tick,
-		hist: make([]int64, 2*p.cfg.MaxPeriod),
+		hist: p.tab[victim].hist,
 	}
 }
 
 // predict issues the periodic-sequence predictions for a just-updated
 // entry. The delta j steps ahead of the latest equals the recorded delta
 // period-1-((j-1) mod period) back from it, so the cumulative offsets walk
-// the repeating sequence exactly.
+// the repeating sequence exactly; back counts that index down, wrapping
+// from 0 to period-1.
 func (p *MultiStride) predict(e *msEntry, addr uint64, hier *cache.Hierarchy, now uint64) {
 	per := e.period(p.cfg.MaxPeriod)
 	if per == 0 {
@@ -143,8 +158,12 @@ func (p *MultiStride) predict(e *msEntry, addr uint64, hier *cache.Hierarchy, no
 	p.Detected++
 	steps := p.cfg.Distance + p.cfg.Degree - 1
 	cum := int64(0)
+	back := per - 1
 	for j := 1; j <= steps; j++ {
-		cum += e.at(per - 1 - ((j - 1) % per))
+		cum += e.at(back)
+		if back--; back < 0 {
+			back = per - 1
+		}
 		if j < p.cfg.Distance {
 			continue
 		}

@@ -25,6 +25,8 @@
 package hwpf
 
 import (
+	"fmt"
+
 	"stridepf/internal/cache"
 	"stridepf/internal/obs"
 )
@@ -42,9 +44,14 @@ const (
 // Config sizes a prefetcher. Every scheme draws from the same knob set;
 // fields a scheme has no use for are ignored (the RPT, for example, always
 // issues one prefetch per trigger and ignores Degree).
+//
+// The table schemes (rpt, baer-chen, multi-stride) index their sets by
+// masking the pc, as hardware does, so Entries must divide by Ways into a
+// power-of-two set count; their constructors panic otherwise.
 type Config struct {
 	// Entries is the total entry count of table-based schemes; zero selects
-	// 64 (a typical small hardware budget).
+	// 64 (a typical small hardware budget). Entries/Ways must be a power of
+	// two.
 	Entries int
 	// Ways is the associativity of table-based schemes; zero selects 4.
 	Ways int
@@ -66,6 +73,21 @@ type Config struct {
 	// the load stream is free: a disabled prefetcher must be cycle-exact
 	// with no prefetcher at all.
 	Disabled bool
+}
+
+// tableMask fills the defaults and returns the set-index mask of a
+// table-based scheme. It panics when Entries does not divide by Ways or
+// the set count is not a power of two.
+func (c *Config) tableMask() uint64 {
+	c.fill()
+	if c.Ways <= 0 || c.Entries <= 0 || c.Entries%c.Ways != 0 {
+		panic("hwpf: entries must divide by ways")
+	}
+	sets := c.Entries / c.Ways
+	if sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("hwpf: %d sets (entries/ways) is not a power of two", sets))
+	}
+	return uint64(sets - 1)
 }
 
 func (c *Config) fill() {
@@ -101,10 +123,10 @@ type entry struct {
 // RPT is the reference prediction table. It implements Prefetcher (and
 // therefore machine.HWPrefetcher).
 type RPT struct {
-	cfg  Config
-	sets int
-	tab  []entry
-	tick uint64
+	cfg     Config
+	setMask uint64
+	tab     []entry
+	tick    uint64
 
 	// Issued counts prefetches triggered; Replaced counts entry evictions
 	// (the capacity pressure the paper warns about).
@@ -118,11 +140,8 @@ type RPT struct {
 
 // New returns an empty table.
 func New(cfg Config) *RPT {
-	cfg.fill()
-	if cfg.Entries%cfg.Ways != 0 {
-		panic("hwpf: entries must divide by ways")
-	}
-	return &RPT{cfg: cfg, sets: cfg.Entries / cfg.Ways, tab: make([]entry, cfg.Entries)}
+	mask := cfg.tableMask()
+	return &RPT{cfg: cfg, setMask: mask, tab: make([]entry, cfg.Entries)}
 }
 
 // Name returns the scheme's registry name.
@@ -137,8 +156,7 @@ func (r *RPT) Counters() Counters {
 // address addr, updating the automaton and possibly issuing a prefetch
 // into hier.
 func (r *RPT) Observe(pc uint64, addr uint64, hier *cache.Hierarchy, now uint64) {
-	set := int(pc % uint64(r.sets))
-	base := set * r.cfg.Ways
+	base := int(pc&r.setMask) * r.cfg.Ways
 	r.tick++
 
 	// Lookup.

@@ -1,6 +1,8 @@
 package hwpf
 
 import (
+	"math/bits"
+
 	"stridepf/internal/cache"
 	"stridepf/internal/obs"
 )
@@ -29,8 +31,10 @@ type Tracker struct {
 	deq []trackerEntry
 
 	// issued remembers recently issued target lines (bounded FIFO) so a
-	// later demand access can be credited as Useful.
-	issued  map[uint64]struct{}
+	// later demand access can be credited as Useful. A line is in issued
+	// only while its latest FIFO slot still holds it, so issued never
+	// holds more lines than the FIFO has slots and is sized to match.
+	issued  *cache.LineTable
 	fifo    []uint64
 	fifoPos int
 
@@ -47,10 +51,12 @@ const trackerFeedbackWindow = 8
 // NewTracker returns an empty tracker deque.
 func NewTracker(cfg Config) *Tracker {
 	cfg.fill()
+	window := cfg.Trackers * trackerFeedbackWindow
 	return &Tracker{
 		cfg:    cfg,
-		issued: make(map[uint64]struct{}),
-		fifo:   make([]uint64, cfg.Trackers*trackerFeedbackWindow),
+		deq:    make([]trackerEntry, 0, cfg.Trackers+1),
+		issued: cache.NewLineTable(window),
+		fifo:   make([]uint64, window),
 	}
 }
 
@@ -67,22 +73,24 @@ func (p *Tracker) Counters() Counters {
 // zero marks an empty slot without colliding with the (real) line 0.
 func (p *Tracker) remember(line uint64) {
 	if old := p.fifo[p.fifoPos]; old != 0 {
-		delete(p.issued, old-1)
+		p.issued.Take(old - 1)
 	}
 	p.fifo[p.fifoPos] = line + 1
-	p.issued[line] = struct{}{}
-	p.fifoPos = (p.fifoPos + 1) % len(p.fifo)
+	p.issued.Put(line, 0)
+	if p.fifoPos++; p.fifoPos == len(p.fifo) {
+		p.fifoPos = 0
+	}
 }
 
 // Observe records one execution of the static load identified by pc at
 // address addr, updating its tracker and possibly issuing prefetches.
 func (p *Tracker) Observe(pc uint64, addr uint64, hier *cache.Hierarchy, now uint64) {
 	ls := uint64(hier.LineSize())
-	line := addr / ls
+	shift := uint(bits.TrailingZeros64(ls)) // line sizes are powers of two
+	line := addr >> shift
 	p.Lookups++
-	if _, ok := p.issued[line]; ok {
+	if _, ok := p.issued.Take(line); ok {
 		p.Useful++
-		delete(p.issued, line)
 	}
 
 	idx := -1
@@ -118,7 +126,7 @@ func (p *Tracker) Observe(pc uint64, addr uint64, hier *cache.Hierarchy, now uin
 		return
 	}
 	p.StrideMatches++
-	lineBase := line * ls
+	lineBase := line << shift
 	for k := 0; k < p.cfg.Degree; k++ {
 		target, ok := predictTarget(lineBase, stride*int64(p.cfg.Distance+k)*int64(ls))
 		if !ok {
@@ -129,6 +137,6 @@ func (p *Tracker) Observe(pc uint64, addr uint64, hier *cache.Hierarchy, now uin
 			hier.PrefetchClass(target, now, obs.ClassHW)
 		}
 		p.Issued++
-		p.remember(target / ls)
+		p.remember(target >> shift)
 	}
 }

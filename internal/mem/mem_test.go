@@ -175,3 +175,91 @@ func TestFusedLoadStoreSelfCheck(t *testing.T) {
 		t.Errorf("unmapped LoadStore = %d, want 0", got)
 	}
 }
+
+// TestRadixPageTableBoundaries stores and loads at page 0, on each side of
+// every radix-level boundary of the page number, and at the top of the
+// address space, all under the shadow model. It checks Load, Mapped, Pages
+// and the address-ordered Fingerprint walk, LoadStore within one page and
+// across each boundary, and that write order does not change the
+// fingerprint.
+func TestRadixPageTableBoundaries(t *testing.T) {
+	var keys []uint64 // page numbers
+	keys = append(keys, 0, 1)
+	for _, b := range []uint{leafBits, leafBits + dirBits, leafBits + 2*dirBits} {
+		keys = append(keys, 1<<b-1, 1<<b)
+	}
+	keys = append(keys, 1<<(64-pageShift)-2, 1<<(64-pageShift)-1)
+	var addrs []uint64 // first and last word of each page
+	for _, k := range keys {
+		addrs = append(addrs, k<<pageShift, k<<pageShift|(pageMask&^7))
+	}
+	if top := addrs[len(addrs)-1]; top != 1<<64-8 {
+		t.Fatalf("last address %#x, want 2^64-8", top)
+	}
+
+	write := func(order []int) *Memory {
+		m := NewMemory()
+		m.EnableSelfCheck()
+		for _, i := range order {
+			m.Store(addrs[i], int64(i+1))
+		}
+		return m
+	}
+	fwd, rev := make([]int, len(addrs)), make([]int, len(addrs))
+	for i := range addrs {
+		fwd[i], rev[len(addrs)-1-i] = i, i
+	}
+	a, b := write(fwd), write(rev)
+	for i, addr := range addrs {
+		if got := a.Load(addr); got != int64(i+1) {
+			t.Errorf("Load(%#x) = %d, want %d", addr, got, i+1)
+		}
+		if !a.Mapped(addr) {
+			t.Errorf("Mapped(%#x) = false after a store", addr)
+		}
+	}
+	// Pages between the written ones stay unmapped and read zero.
+	for _, k := range []uint64{2, 1<<leafBits + 1, 1<<(leafBits+dirBits) + 1, 1<<(leafBits+2*dirBits) + 1} {
+		if a.Mapped(k<<pageShift) || a.Load(k<<pageShift) != 0 {
+			t.Errorf("page %#x mapped or non-zero without a store", k)
+		}
+	}
+	if a.Pages() != len(keys) || b.Pages() != len(keys) {
+		t.Fatalf("Pages = %d/%d, want %d", a.Pages(), b.Pages(), len(keys))
+	}
+	if a.Fingerprint() != b.Fingerprint() {
+		t.Fatal("fingerprint depends on write order")
+	}
+	var walked []uint64
+	a.eachPage(func(k uint64, _ *page) { walked = append(walked, k) })
+	if len(walked) != len(keys) {
+		t.Fatalf("walk visited %d pages, want %d", len(walked), len(keys))
+	}
+	for i := range keys {
+		if walked[i] != keys[i] {
+			t.Fatalf("walk order %#x, want ascending %#x", walked, keys)
+		}
+	}
+
+	// LoadStore on one page, and across each boundary (last word of the
+	// lower page to the first word of the upper one), then back.
+	before := a.Fingerprint()
+	for i := 0; i+3 < len(addrs); i += 4 {
+		lastLow, firstHigh := addrs[i+1], addrs[i+2]
+		if got := a.LoadStore(addrs[i], addrs[i]+8, 77); got != int64(i+1) {
+			t.Errorf("same-page LoadStore(%#x) = %d, want %d", addrs[i], got, i+1)
+		}
+		if got := a.LoadStore(lastLow, firstHigh, 88); got != int64(i+2) {
+			t.Errorf("cross-page LoadStore(%#x, %#x) = %d, want %d", lastLow, firstHigh, got, i+2)
+		}
+		if got := a.LoadStore(firstHigh, lastLow, 99); got != 88 {
+			t.Errorf("cross-page LoadStore(%#x, %#x) = %d, want 88", firstHigh, lastLow, got)
+		}
+	}
+	if a.Pages() != len(keys) {
+		t.Errorf("LoadStore on mapped pages changed Pages to %d", a.Pages())
+	}
+	if a.Fingerprint() == before {
+		t.Error("fingerprint did not change after LoadStore writes")
+	}
+}

@@ -1,16 +1,16 @@
 // Shadow-model self-checking for the simulated memory.
 //
-// Memory's hot-path optimization — the cached last-touched page that skips
-// the page-table map lookup — is validated here by a naive reference model
-// with no page cache at all: every Load and Store is replayed against it
-// and the observed word value must agree. Mapped queries are cross-checked
-// too, since the machine's non-faulting prefetch path depends on them.
+// Memory's optimized layout — a radix page table with a walk cache of
+// leaves, and the last-touched page cached in front of both — is validated
+// here by a naive reference model: a Go map of pages with no cache at all. Every Load and Store
+// is replayed against it and the observed word value must agree. Mapped
+// queries are cross-checked too, since the machine's non-faulting prefetch
+// path depends on them.
 package mem
 
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 )
 
@@ -73,8 +73,8 @@ type shadowMem struct {
 // setup writes). On the first disagreement the memory panics with a
 // *DivergenceError, which machine.Run converts into an ordinary error.
 func (m *Memory) EnableSelfCheck() {
-	if len(m.pages) > 0 {
-		panic(fmt.Sprintf("mem: EnableSelfCheck on non-empty memory (%d pages mapped)", len(m.pages)))
+	if m.npages > 0 {
+		panic(fmt.Sprintf("mem: EnableSelfCheck on non-empty memory (%d pages mapped)", m.npages))
 	}
 	m.shadow = &shadowMem{pages: make(map[uint64]*page)}
 }
@@ -153,11 +153,6 @@ func (s *shadowMem) checkMapped(addr uint64, got bool) {
 // it to assert that two executions left identical memory — e.g. that
 // enabling prefetch issue never changes architectural state.
 func (m *Memory) Fingerprint() uint64 {
-	keys := make([]uint64, 0, len(m.pages))
-	for k := range m.pages {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v uint64) {
@@ -166,11 +161,11 @@ func (m *Memory) Fingerprint() uint64 {
 		}
 		h.Write(buf[:])
 	}
-	for _, k := range keys {
+	m.eachPage(func(k uint64, p *page) {
 		put(k)
-		for _, w := range m.pages[k] {
+		for _, w := range p {
 			put(uint64(w))
 		}
-	}
+	})
 	return h.Sum64()
 }
