@@ -45,24 +45,24 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
+# The concurrent packages: the parallel experiment session, the interpreter
+# it drives and the daemon with its clients.
+RACE_PKGS = ./internal/experiments/... ./internal/machine/... \
+	./internal/server/... ./internal/client/... ./internal/chaos/... \
+	./internal/simcheck/... ./internal/cache/... ./internal/hwpf/... \
+	./internal/walstore/... ./internal/ring/... ./internal/api/... \
+	./internal/blpath/...
+
 # The race run uses -short so it stays fast enough for a pre-commit gate;
 # TestParallelMatchesSerial (the full parallel-vs-serial determinism check)
 # runs race-enabled in full via `make race-full`. Shuffled for the same
 # reason as `test`: the server/client/chaos suites must not grow order
 # dependencies.
 race:
-	$(GO) test -race -short -shuffle=on ./internal/experiments/... ./internal/machine/... \
-		./internal/server/... ./internal/client/... ./internal/chaos/... \
-		./internal/simcheck/... ./internal/cache/... ./internal/hwpf/... \
-		./internal/walstore/... ./internal/ring/... ./internal/api/... \
-		./internal/blpath/...
+	$(GO) test -race -short -shuffle=on $(RACE_PKGS)
 
 race-full:
-	$(GO) test -race -shuffle=on ./internal/experiments/... ./internal/machine/... \
-		./internal/server/... ./internal/client/... ./internal/chaos/... \
-		./internal/simcheck/... ./internal/cache/... ./internal/hwpf/... \
-		./internal/walstore/... ./internal/ring/... ./internal/api/... \
-		./internal/blpath/...
+	$(GO) test -race -shuffle=on $(RACE_PKGS)
 
 # Byte-identity gate: the paper figures (also with the rpt hardware
 # prefetcher, the one figure job whose hooked lanes keep hierarchies of

@@ -650,7 +650,7 @@ func BenchmarkBaselineHardwareRPT(b *testing.B) {
 		}
 		speedupWith := func(cfg hwpf.Config) (float64, *hwpf.RPT) {
 			rpt := hwpf.New(cfg)
-			hw, err := core.Execute(w.Program(), w, w.Ref(), machine.Config{HWPrefetch: rpt})
+			hw, err := core.Execute(w.Program(), w, w.Ref(), machine.Config{NewHWPrefetch: func() machine.HWPrefetcher { return rpt }})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -190,7 +190,7 @@ func main() {
 	if !known {
 		fatal(fmt.Errorf("unknown figure %q (want all, 15..25, arena or paths)", *figureFlag))
 	}
-	if n := cfg.Jobs; n != 1 && *figureFlag != "15" {
+	if n := cfg.Jobs; n != 1 {
 		s.Warm(ctx, n, *figureFlag)
 	}
 	text, err := s.FigureText(ctx, *figureFlag, *csvFlag)

@@ -59,7 +59,7 @@ func run(argv []string, out io.Writer) error {
 		return fmt.Errorf("unknown heuristic %q", *heuristic)
 	}
 
-	fb, err := core.BuildPrefetched(w, prof, opts)
+	fb, err := prefetch.Apply(w.Program(), prof, opts)
 	if err != nil {
 		return err
 	}

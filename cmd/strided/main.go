@@ -71,7 +71,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8471", "listen address")
 		workloadsF  = flag.String("workloads", "", "default benchmark roster (comma-separated; default: all)")
-		jFlag       = flag.Int("j", 0, "per-session simulation workers (0 = GOMAXPROCS, 1 = serial)")
+		jFlag       = flag.Int("j", 0, "simulation workers per figure request (0 = GOMAXPROCS, 1 = serial)")
 		maxInflight = flag.Int("max-inflight", 0, "max concurrently executing heavy requests (0 = GOMAXPROCS)")
 		maxQueued   = flag.Int("max-queued", 0, "max heavy requests waiting for a slot before 429 (0 = 2*max-inflight)")
 		timeout     = flag.Duration("timeout", 10*time.Minute, "per-request timeout for heavy requests (0 = none)")

@@ -52,7 +52,7 @@ func main() {
 	}
 
 	// Classifier decisions.
-	fb, err := core.BuildPrefetched(w, pr.Profiles, prefetch.Options{})
+	fb, err := prefetch.Apply(w.Program(), pr.Profiles, prefetch.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fb, err := core.BuildPrefetched(w, pr.Profiles, prefetch.Options{})
+	fb, err := prefetch.Apply(w.Program(), pr.Profiles, prefetch.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

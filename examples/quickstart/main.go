@@ -110,7 +110,7 @@ func main() {
 	}
 
 	// Step 3: profile feedback — classify and insert prefetches.
-	fb, err := core.BuildPrefetched(w, pr.Profiles, prefetch.Options{})
+	fb, err := prefetch.Apply(w.Program(), pr.Profiles, prefetch.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -150,7 +150,8 @@ func DecodeParams(q url.Values, spec ParamSpec) (Params, *Error) {
 }
 
 // decodeRoster resolves ?workloads= against the default, validating names
-// and normalising order so equivalent requests share one session.
+// and normalising order, which fixes the figure's row order: equivalent
+// requests get the same table.
 func decodeRoster(raw string, spec ParamSpec) ([]string, *Error) {
 	if raw == "" {
 		return append([]string(nil), spec.DefaultWorkloads...), nil

@@ -4,8 +4,8 @@
 //  1. ProfilePass — instrument a workload's program (package instrument),
 //     execute it on the train input (package machine), and extract the
 //     combined edge + stride profile (packages profile and stride).
-//  2. BuildPrefetched — feed the profile back into the clean program and
-//     insert prefetching code (package prefetch).
+//  2. prefetch.Apply — feed the profile back into the workload's clean
+//     program and insert prefetching code.
 //  3. Execute / MeasureSpeedup — run clean and prefetched binaries on the
 //     reference input and compare cycle counts.
 //
@@ -166,8 +166,8 @@ type ProfileRun struct {
 // inside the stride runtime) becomes a machine.Lane of the one execution,
 // with its own stride runtime bound as the lane's hook on a memory system
 // configured like the primary's. The other twins, and every twin when
-// mcfg brings lanes of its own or a prefetcher instance without a factory,
-// run on their own. mcfg.Obs observes opts' run only.
+// mcfg brings lanes of its own, run on their own. mcfg.Obs observes opts'
+// run only.
 func ProfilePass(w Workload, in Input, opts instrument.Options, mcfg machine.Config, twins ...instrument.Options) (*ProfileRun, error) {
 	prog := w.Program()
 	res, err := instrument.Instrument(prog, opts)
@@ -179,7 +179,7 @@ func ProfilePass(w Workload, in Input, opts instrument.Options, mcfg machine.Con
 	var lanes []machine.Lane
 	if len(twins) > 0 {
 		fp := ir.Fingerprint(res.Prog)
-		lanesOK := len(mcfg.Lanes) == 0 && (mcfg.HWPrefetch == nil || mcfg.NewHWPrefetch != nil)
+		lanesOK := len(mcfg.Lanes) == 0
 		for i, t := range twins {
 			tres, err := instrument.Instrument(prog, t)
 			if err != nil {
@@ -275,11 +275,6 @@ func programLoadRefs(orig *ir.Program, counts map[machine.LoadKey]uint64) (total
 	return total, inLoop
 }
 
-// BuildPrefetched applies the feedback pass to the workload's clean program.
-func BuildPrefetched(w Workload, prof *profile.Combined, opts prefetch.Options) (*prefetch.Result, error) {
-	return prefetch.Apply(w.Program(), prof, opts)
-}
-
 // SpeedupResult compares a clean and a prefetched execution.
 type SpeedupResult struct {
 	// Base and Prefetched are the two runs' stats.
@@ -295,7 +290,7 @@ type SpeedupResult struct {
 // executions return the same value (the transformation must preserve
 // semantics) and returns the cycle-count comparison.
 func MeasureSpeedup(w Workload, in Input, prof *profile.Combined, popts prefetch.Options, mcfg machine.Config) (*SpeedupResult, error) {
-	fb, err := BuildPrefetched(w, prof, popts)
+	fb, err := prefetch.Apply(w.Program(), prof, popts)
 	if err != nil {
 		return nil, err
 	}

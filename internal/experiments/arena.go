@@ -84,76 +84,73 @@ type arenaCells map[string]*ArenaCell
 // figure is byte-identical to running every cell on its own machine.
 func (s *Session) arenaRow(ctx context.Context, wname string) (arenaCells, error) {
 	key := "arena|" + wname
-	v, err := s.do(ctx, key,
-		func() (any, bool) { r, ok := s.arenas[key]; return r, ok },
-		func(v any) { s.arenas[key] = v.(arenaCells) },
-		func() (any, error) {
-			w, err := s.workload(wname)
-			if err != nil {
-				return nil, err
+	v, err := s.do(ctx, key, func() (any, error) {
+		w, err := s.workload(wname)
+		if err != nil {
+			return nil, err
+		}
+		hiers := ArenaHierarchies()
+		mcfg := s.mcfg(ctx)
+		mcfg.Hierarchy = hiers[0].Config
+		mcfg.NewHWPrefetch, mcfg.Obs = nil, nil
+		mcfg.Lanes = nil
+		for _, h := range hiers[1:] {
+			mcfg.Lanes = append(mcfg.Lanes, machine.Lane{Hierarchy: h.Config})
+		}
+		type cellLane struct {
+			hier, scheme string
+			col          *obs.Collector
+		}
+		var cells []cellLane
+		hcfg := s.cfg.HWPFConfig
+		for _, h := range hiers {
+			for _, scheme := range hwpf.Schemes() {
+				scheme := scheme
+				col := obs.NewCollector(s.cfg.Trace.WithRun(key + "|" + h.Name + "|" + scheme))
+				cells = append(cells, cellLane{hier: h.Name, scheme: scheme, col: col})
+				mcfg.Lanes = append(mcfg.Lanes, machine.Lane{
+					Hierarchy: h.Config,
+					Obs:       col,
+					NewHWPrefetch: func() machine.HWPrefetcher {
+						p, _ := hwpf.NewScheme(scheme, hcfg)
+						return p
+					},
+				})
 			}
-			hiers := ArenaHierarchies()
-			mcfg := s.mcfg(ctx)
-			mcfg.Hierarchy = hiers[0].Config
-			mcfg.HWPrefetch, mcfg.NewHWPrefetch, mcfg.Obs = nil, nil, nil
-			mcfg.Lanes = nil
-			for _, h := range hiers[1:] {
-				mcfg.Lanes = append(mcfg.Lanes, machine.Lane{Hierarchy: h.Config})
+		}
+		run, err := core.Execute(w.Program(), w, w.Ref(), mcfg)
+		if err != nil {
+			return nil, ctxErr(ctx, err)
+		}
+		base := map[string]core.RunStats{hiers[0].Name: run}
+		for i, h := range hiers[1:] {
+			base[h.Name] = run.Lanes[i]
+		}
+		row := make(arenaCells, len(cells))
+		for i, cl := range cells {
+			if err := cl.col.Reconcile(); err != nil {
+				return nil, fmt.Errorf("experiments: arena %s/%s/%s: %w", wname, cl.hier, cl.scheme, err)
 			}
-			type cellLane struct {
-				hier, scheme string
-				col          *obs.Collector
+			if s.cfg.Metrics != nil {
+				rep := obs.BuildReport(key+"|"+cl.hier+"|"+cl.scheme, cl.col)
+				rep.Workload = wname
+				rep.Label = "arena|" + cl.hier + "|" + cl.scheme
+				s.cfg.Metrics.Register(rep)
 			}
-			var cells []cellLane
-			hcfg := s.cfg.HWPFConfig
-			for _, h := range hiers {
-				for _, scheme := range hwpf.Schemes() {
-					scheme := scheme
-					col := obs.NewCollector(s.cfg.Trace.WithRun(key + "|" + h.Name + "|" + scheme))
-					cells = append(cells, cellLane{hier: h.Name, scheme: scheme, col: col})
-					mcfg.Lanes = append(mcfg.Lanes, machine.Lane{
-						Hierarchy: h.Config,
-						Obs:       col,
-						NewHWPrefetch: func() machine.HWPrefetcher {
-							p, _ := hwpf.NewScheme(scheme, hcfg)
-							return p
-						},
-					})
-				}
+			cr := run.Lanes[len(hiers)-1+i]
+			hw := cl.col.Classes[obs.ClassHW]
+			row[cl.hier+"|"+cl.scheme] = &ArenaCell{
+				Speedup:         float64(base[cl.hier].Stats.Cycles) / float64(cr.Stats.Cycles),
+				Accuracy:        hw.Accuracy(),
+				Coverage:        cl.col.ClassCoverage(obs.ClassHW),
+				Timeliness:      hw.Timeliness(),
+				Stats:           hw,
+				UncoveredMisses: cl.col.UncoveredMisses,
+				Run:             cr,
 			}
-			run, err := core.Execute(w.Program(), w, w.Ref(), mcfg)
-			if err != nil {
-				return nil, ctxErr(ctx, err)
-			}
-			base := map[string]core.RunStats{hiers[0].Name: run}
-			for i, h := range hiers[1:] {
-				base[h.Name] = run.Lanes[i]
-			}
-			row := make(arenaCells, len(cells))
-			for i, cl := range cells {
-				if err := cl.col.Reconcile(); err != nil {
-					return nil, fmt.Errorf("experiments: arena %s/%s/%s: %w", wname, cl.hier, cl.scheme, err)
-				}
-				if s.cfg.Metrics != nil {
-					rep := obs.BuildReport(key+"|"+cl.hier+"|"+cl.scheme, cl.col)
-					rep.Workload = wname
-					rep.Label = "arena|" + cl.hier + "|" + cl.scheme
-					s.cfg.Metrics.Register(rep)
-				}
-				cr := run.Lanes[len(hiers)-1+i]
-				hw := cl.col.Classes[obs.ClassHW]
-				row[cl.hier+"|"+cl.scheme] = &ArenaCell{
-					Speedup:         float64(base[cl.hier].Stats.Cycles) / float64(cr.Stats.Cycles),
-					Accuracy:        hw.Accuracy(),
-					Coverage:        cl.col.ClassCoverage(obs.ClassHW),
-					Timeliness:      hw.Timeliness(),
-					Stats:           hw,
-					UncoveredMisses: cl.col.UncoveredMisses,
-					Run:             cr,
-				}
-			}
-			return row, nil
-		})
+		}
+		return row, nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +189,7 @@ func (s *Session) Arena(ctx context.Context) (*Table, error) {
 		Title:   "Prefetcher arena: hardware scheme x workload x cache config (clean binary, ref input)",
 		Columns: []string{"speedup", "accuracy", "coverage", "timeliness"},
 	}
-	for _, wname := range s.cfg.names() {
+	for _, wname := range s.names() {
 		for _, h := range ArenaHierarchies() {
 			for _, scheme := range hwpf.Schemes() {
 				cell, err := s.ArenaCell(ctx, wname, h.Name, scheme)

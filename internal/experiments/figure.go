@@ -2,8 +2,13 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 )
+
+// ErrUnknownFigure is wrapped by Figure's error for a name it has no table
+// for: a name outside FigureNames and ExtraFigureNames, or Figure 15.
+var ErrUnknownFigure = errors.New("unknown figure")
 
 // FigureNames lists every paper figure the session can produce, in
 // presentation order. "15" is preformatted text (see Fig15); the rest are
@@ -51,9 +56,9 @@ func (s *Session) Figure(ctx context.Context, name string) (*Table, error) {
 	case "paths":
 		return s.Paths(ctx)
 	case "15":
-		return nil, fmt.Errorf("experiments: figure 15 is preformatted text; use FigureText")
+		return nil, fmt.Errorf("experiments: %w: figure 15 is preformatted text; use FigureText", ErrUnknownFigure)
 	}
-	return nil, fmt.Errorf("experiments: unknown figure %q (want 15..25, arena or paths)", name)
+	return nil, fmt.Errorf("experiments: %w %q (want 15..25, arena or paths)", ErrUnknownFigure, name)
 }
 
 // FigureText returns the exact bytes the experiments CLI writes for

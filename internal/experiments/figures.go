@@ -18,7 +18,7 @@ import (
 // as preformatted text since the table is non-numeric.
 func (s *Session) Fig15() string {
 	out := "Figure 15: SPECINT2000 benchmarks (synthetic reproductions)\n"
-	for _, name := range s.cfg.names() {
+	for _, name := range s.names() {
 		w, err := s.workload(name)
 		if err != nil {
 			continue
@@ -37,22 +37,21 @@ func (s *Session) Fig16(ctx context.Context) (*Table, error) {
 	for _, m := range methods {
 		t.Columns = append(t.Columns, m.Name)
 	}
-	for _, name := range s.cfg.names() {
+	for _, name := range s.names() {
 		w, err := s.workload(name)
 		if err != nil {
 			return nil, err
 		}
-		row := make([]float64, 0, len(methods))
-		for _, m := range methods {
-			pr, err := s.Profile(ctx, name, m, w.Train())
+		clean := func() error { _, err := s.Clean(ctx, name, w.Ref()); return err }
+		row, err := s.row(len(methods), clean, func(i int) (float64, error) {
+			pr, err := s.Profile(ctx, name, methods[i], w.Train())
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			sp, err := s.Speedup(ctx, name, m.Name+"-train", pr.Profiles, w.Ref())
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, sp)
+			return s.Speedup(ctx, name, methods[i].Name+"-train", pr.Profiles, w.Ref())
+		})
+		if err != nil {
+			return nil, err
 		}
 		t.AddRow(name, row...)
 	}
@@ -68,7 +67,7 @@ func (s *Session) Fig17(ctx context.Context) (*Table, error) {
 		Columns:   []string{"in-loop%", "out-loop%"},
 		Precision: 1,
 	}
-	for _, name := range s.cfg.names() {
+	for _, name := range s.names() {
 		w, err := s.workload(name)
 		if err != nil {
 			return nil, err
@@ -111,11 +110,7 @@ type classBuckets struct {
 // classify memoises classifyCompute per workload (Figures 18 and 19 both
 // consume it).
 func (s *Session) classify(ctx context.Context, name string) (*classBuckets, error) {
-	key := "classify|" + name
-	v, err := s.do(ctx, key,
-		func() (any, bool) { cb, ok := s.classes[key]; return cb, ok },
-		func(v any) { s.classes[key] = v.(*classBuckets) },
-		func() (any, error) { return s.classifyCompute(ctx, name) })
+	v, err := s.do(ctx, "classify|"+name, func() (any, error) { return s.classifyCompute(ctx, name) })
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +193,7 @@ func (s *Session) distTable(ctx context.Context, title string, sel func(*classBu
 	for _, c := range classColumns {
 		t.Columns = append(t.Columns, c.String())
 	}
-	for _, name := range s.cfg.names() {
+	for _, name := range s.names() {
 		cb, err := s.classify(ctx, name)
 		if err != nil {
 			return nil, err
@@ -230,24 +225,26 @@ func (s *Session) Fig20(ctx context.Context) (*Table, error) {
 	for _, m := range methods {
 		t.Columns = append(t.Columns, m.Name)
 	}
-	for _, name := range s.cfg.names() {
+	for _, name := range s.names() {
 		w, err := s.workload(name)
 		if err != nil {
 			return nil, err
 		}
-		base, err := s.Profile(ctx, name, edgeOnlySpec, w.Train())
+		edgeOnly := func() error { _, err := s.Profile(ctx, name, edgeOnlySpec, w.Train()); return err }
+		row, err := s.row(len(methods), edgeOnly, func(i int) (float64, error) {
+			pr, err := s.Profile(ctx, name, methods[i], w.Train())
+			if err != nil {
+				return 0, err
+			}
+			base, err := s.Profile(ctx, name, edgeOnlySpec, w.Train())
+			if err != nil {
+				return 0, err
+			}
+			return (float64(pr.Stats.Stats.Cycles) - float64(base.Stats.Stats.Cycles)) /
+				float64(base.Stats.Stats.Cycles), nil
+		})
 		if err != nil {
 			return nil, err
-		}
-		row := make([]float64, 0, len(methods))
-		for _, m := range methods {
-			pr, err := s.Profile(ctx, name, m, w.Train())
-			if err != nil {
-				return nil, err
-			}
-			over := (float64(pr.Stats.Stats.Cycles) - float64(base.Stats.Stats.Cycles)) /
-				float64(base.Stats.Stats.Cycles)
-			row = append(row, over)
 		}
 		t.AddRow(name, row...)
 	}
@@ -275,22 +272,20 @@ func (s *Session) rateTable(ctx context.Context, title string, num func(*core.Pr
 	for _, m := range methods {
 		t.Columns = append(t.Columns, m.Name)
 	}
-	for _, name := range s.cfg.names() {
+	for _, name := range s.names() {
 		w, err := s.workload(name)
 		if err != nil {
 			return nil, err
 		}
-		row := make([]float64, 0, len(methods))
-		for _, m := range methods {
-			pr, err := s.Profile(ctx, name, m, w.Train())
-			if err != nil {
-				return nil, err
+		row, err := s.row(len(methods), nil, func(i int) (float64, error) {
+			pr, err := s.Profile(ctx, name, methods[i], w.Train())
+			if err != nil || pr.ProgramLoadRefs == 0 {
+				return math.NaN(), err
 			}
-			if pr.ProgramLoadRefs == 0 {
-				row = append(row, math.NaN())
-				continue
-			}
-			row = append(row, 100*num(pr)/float64(pr.ProgramLoadRefs))
+			return 100 * num(pr) / float64(pr.ProgramLoadRefs), nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		t.AddRow(name, row...)
 	}
@@ -308,10 +303,8 @@ func sampleEdgeCheck() MethodSpec {
 }
 
 // sensitivitySpec describes one of the three input-sensitivity studies
-// (Figures 23-25). The specs are shared by the figure methods and the
-// parallel warm-up, so both derive identical memoisation labels.
+// (Figures 23-25); title+cols[i] labels column i's speedup cell.
 type sensitivitySpec struct {
-	fig   string
 	title string
 	cols  []string
 	mix   func(train, ref *core.ProfileRun) []*profile.Combined
@@ -320,7 +313,6 @@ type sensitivitySpec struct {
 func sensitivitySpecs() []sensitivitySpec {
 	return []sensitivitySpec{
 		{
-			fig:   "23",
 			title: "Figure 23: Performance of train and ref profiles (sample-edge-check)",
 			cols:  []string{"train", "ref"},
 			mix: func(train, ref *core.ProfileRun) []*profile.Combined {
@@ -331,7 +323,6 @@ func sensitivitySpecs() []sensitivitySpec {
 			},
 		},
 		{
-			fig:   "24",
 			title: "Figure 24: Performance of train and edge.ref-stride.train",
 			cols:  []string{"train", "edge.ref-stride.train"},
 			mix: func(train, ref *core.ProfileRun) []*profile.Combined {
@@ -342,7 +333,6 @@ func sensitivitySpecs() []sensitivitySpec {
 			},
 		},
 		{
-			fig:   "25",
 			title: "Figure 25: Performance of train and edge.train-stride.ref",
 			cols:  []string{"train", "edge.train-stride.ref"},
 			mix: func(train, ref *core.ProfileRun) []*profile.Combined {
@@ -376,27 +366,26 @@ func (s *Session) Fig25(ctx context.Context) (*Table, error) {
 func (s *Session) sensitivityTable(ctx context.Context, spec sensitivitySpec) (*Table, error) {
 	m := sampleEdgeCheck()
 	t := &Table{Title: spec.title, Columns: spec.cols}
-	for _, name := range s.cfg.names() {
+	for _, name := range s.names() {
 		w, err := s.workload(name)
 		if err != nil {
 			return nil, err
 		}
-		trainPR, err := s.Profile(ctx, name, m, w.Train())
-		if err != nil {
-			return nil, err
-		}
-		refPR, err := s.Profile(ctx, name, m, w.Ref())
-		if err != nil {
-			return nil, err
-		}
-		profs := spec.mix(trainPR, refPR)
-		row := make([]float64, 0, len(spec.cols))
-		for i, p := range profs {
-			sp, err := s.Speedup(ctx, name, spec.title+spec.cols[i], p, w.Ref())
+		clean := func() error { _, err := s.Clean(ctx, name, w.Ref()); return err }
+		row, err := s.row(len(spec.cols), clean, func(i int) (float64, error) {
+			trainPR, err := s.Profile(ctx, name, m, w.Train())
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			row = append(row, sp)
+			refPR, err := s.Profile(ctx, name, m, w.Ref())
+			if err != nil {
+				return 0, err
+			}
+			p := spec.mix(trainPR, refPR)[i]
+			return s.Speedup(ctx, name, spec.title+spec.cols[i], p, w.Ref())
+		})
+		if err != nil {
+			return nil, err
 		}
 		t.AddRow(name, row...)
 	}

@@ -37,7 +37,7 @@ func TestArenaRowMatchesStandaloneRuns(t *testing.T) {
 			p, _ := hwpf.NewScheme(scheme, hwpf.Config{})
 			col := obs.NewCollector(nil)
 			run, err := core.Execute(w.Program(), w, w.Ref(),
-				machine.Config{Hierarchy: h.Config, HWPrefetch: p, Obs: col})
+				machine.Config{Hierarchy: h.Config, NewHWPrefetch: func() machine.HWPrefetcher { return p }, Obs: col})
 			if err != nil {
 				t.Fatal(err)
 			}

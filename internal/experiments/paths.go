@@ -58,100 +58,97 @@ type PathsCell struct {
 // PathsCell returns the memoised paths measurement for one workload.
 func (s *Session) PathsCell(ctx context.Context, wname string) (*PathsCell, error) {
 	key := "paths|" + wname
-	v, err := s.do(ctx, key,
-		func() (any, bool) { c, ok := s.pathsCells[key]; return c, ok },
-		func(v any) { s.pathsCells[key] = v.(*PathsCell) },
-		func() (any, error) {
-			w, err := s.workload(wname)
-			if err != nil {
-				return nil, err
-			}
-			train, ref := w.Train(), w.Ref()
-			base, err := s.Profile(ctx, wname, edgeOnlySpec, train)
-			if err != nil {
-				return nil, err
-			}
-			ppr, err := s.Profile(ctx, wname, pathsSpecFor(wname), train)
-			if err != nil {
-				return nil, err
-			}
-			ecpr, err := s.Profile(ctx, wname, PaperMethods()[0], train)
-			if err != nil {
-				return nil, err
-			}
-			over := func(pr *core.ProfileRun) float64 {
-				return (float64(pr.Stats.Stats.Cycles) - float64(base.Stats.Stats.Cycles)) /
-					float64(base.Stats.Stats.Cycles)
-			}
+	v, err := s.do(ctx, key, func() (any, error) {
+		w, err := s.workload(wname)
+		if err != nil {
+			return nil, err
+		}
+		train, ref := w.Train(), w.Ref()
+		base, err := s.Profile(ctx, wname, edgeOnlySpec, train)
+		if err != nil {
+			return nil, err
+		}
+		ppr, err := s.Profile(ctx, wname, pathsSpecFor(wname), train)
+		if err != nil {
+			return nil, err
+		}
+		ecpr, err := s.Profile(ctx, wname, PaperMethods()[0], train)
+		if err != nil {
+			return nil, err
+		}
+		over := func(pr *core.ProfileRun) float64 {
+			return (float64(pr.Stats.Stats.Cycles) - float64(base.Stats.Stats.Cycles)) /
+				float64(base.Stats.Stats.Cycles)
+		}
 
-			splitOpts := s.cfg.Prefetch
-			splitOpts.EnablePathSplit = true
-			splitOpts.PathK = pathsSpecFor(wname).Opts.PathK
-			fb, err := prefetch.Apply(w.Program(), ppr.Profiles, splitOpts)
-			if err != nil {
-				return nil, err
+		splitOpts := s.cfg.Prefetch
+		splitOpts.EnablePathSplit = true
+		splitOpts.PathK = pathsSpecFor(wname).Opts.PathK
+		fb, err := prefetch.Apply(w.Program(), ppr.Profiles, splitOpts)
+		if err != nil {
+			return nil, err
+		}
+		plainFb, err := prefetch.Apply(w.Program(), ppr.Profiles, s.cfg.Prefetch)
+		if err != nil {
+			return nil, err
+		}
+		cell := &PathsCell{
+			OverheadPaths:     over(ppr),
+			OverheadEdgeCheck: over(ecpr),
+			SplitLoads:        fb.PathSplitLoads,
+		}
+		for _, d := range fb.Decisions {
+			if d.Class == prefetch.PMST && d.InLoop {
+				cell.PMSTLoads++
 			}
-			plainFb, err := prefetch.Apply(w.Program(), ppr.Profiles, s.cfg.Prefetch)
-			if err != nil {
-				return nil, err
-			}
-			cell := &PathsCell{
-				OverheadPaths:     over(ppr),
-				OverheadEdgeCheck: over(ecpr),
-				SplitLoads:        fb.PathSplitLoads,
-			}
-			for _, d := range fb.Decisions {
-				if d.Class == prefetch.PMST && d.InLoop {
-					cell.PMSTLoads++
-				}
-				cell.PathSSSTs += d.PathSSSTs
-			}
+			cell.PathSSSTs += d.PathSSSTs
+		}
 
-			clean, err := s.Clean(ctx, wname, ref)
-			if err != nil {
-				return nil, err
-			}
-			col := obs.NewCollector(s.cfg.Trace.WithRun(key))
-			mcfg := s.mcfg(ctx)
-			mcfg.Obs = col
-			run, err := core.Execute(fb.Prog, w, ref, mcfg)
-			if err != nil {
-				return nil, ctxErr(ctx, err)
-			}
-			if run.Ret != clean.Ret {
-				return nil, fmt.Errorf("experiments: paths %s: split binary diverged (%d vs %d)",
-					wname, run.Ret, clean.Ret)
-			}
-			if err := col.Reconcile(); err != nil {
-				return nil, fmt.Errorf("experiments: paths %s: %w", wname, err)
-			}
-			if s.cfg.Metrics != nil {
-				rep := obs.BuildReport(key, col)
-				rep.Workload = wname
-				rep.Label = "paths|split"
-				s.cfg.Metrics.Register(rep)
-			}
-			pcol := obs.NewCollector(s.cfg.Trace.WithRun(key + "|plain"))
-			pmcfg := s.mcfg(ctx)
-			pmcfg.Obs = pcol
-			prun, err := core.Execute(plainFb.Prog, w, ref, pmcfg)
-			if err != nil {
-				return nil, ctxErr(ctx, err)
-			}
-			if prun.Ret != clean.Ret {
-				return nil, fmt.Errorf("experiments: paths %s: plain binary diverged (%d vs %d)",
-					wname, prun.Ret, clean.Ret)
-			}
-			if err := pcol.Reconcile(); err != nil {
-				return nil, fmt.Errorf("experiments: paths %s: %w", wname, err)
-			}
-			cell.SpeedupSplit = float64(clean.Stats.Cycles) / float64(run.Stats.Cycles)
-			cell.SpeedupPlain = float64(clean.Stats.Cycles) / float64(prun.Stats.Cycles)
-			cell.CoverageSplit = col.Coverage()
-			cell.CoveragePlain = pcol.Coverage()
-			cell.CoverageSSST = col.ClassCoverage(obs.ClassSSST)
-			return cell, nil
-		})
+		clean, err := s.Clean(ctx, wname, ref)
+		if err != nil {
+			return nil, err
+		}
+		col := obs.NewCollector(s.cfg.Trace.WithRun(key))
+		mcfg := s.mcfg(ctx)
+		mcfg.Obs = col
+		run, err := core.Execute(fb.Prog, w, ref, mcfg)
+		if err != nil {
+			return nil, ctxErr(ctx, err)
+		}
+		if run.Ret != clean.Ret {
+			return nil, fmt.Errorf("experiments: paths %s: split binary diverged (%d vs %d)",
+				wname, run.Ret, clean.Ret)
+		}
+		if err := col.Reconcile(); err != nil {
+			return nil, fmt.Errorf("experiments: paths %s: %w", wname, err)
+		}
+		if s.cfg.Metrics != nil {
+			rep := obs.BuildReport(key, col)
+			rep.Workload = wname
+			rep.Label = "paths|split"
+			s.cfg.Metrics.Register(rep)
+		}
+		pcol := obs.NewCollector(s.cfg.Trace.WithRun(key + "|plain"))
+		pmcfg := s.mcfg(ctx)
+		pmcfg.Obs = pcol
+		prun, err := core.Execute(plainFb.Prog, w, ref, pmcfg)
+		if err != nil {
+			return nil, ctxErr(ctx, err)
+		}
+		if prun.Ret != clean.Ret {
+			return nil, fmt.Errorf("experiments: paths %s: plain binary diverged (%d vs %d)",
+				wname, prun.Ret, clean.Ret)
+		}
+		if err := pcol.Reconcile(); err != nil {
+			return nil, fmt.Errorf("experiments: paths %s: %w", wname, err)
+		}
+		cell.SpeedupSplit = float64(clean.Stats.Cycles) / float64(run.Stats.Cycles)
+		cell.SpeedupPlain = float64(clean.Stats.Cycles) / float64(prun.Stats.Cycles)
+		cell.CoverageSplit = col.Coverage()
+		cell.CoveragePlain = pcol.Coverage()
+		cell.CoverageSSST = col.ClassCoverage(obs.ClassSSST)
+		return cell, nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +158,7 @@ func (s *Session) PathsCell(ctx context.Context, wname string) (*PathsCell, erro
 // pathsNames returns the figure's row order: the session's workloads with
 // the two ground-truth kernels appended (unless already selected).
 func (s *Session) pathsNames() []string {
-	names := append([]string(nil), s.cfg.names()...)
+	names := append([]string(nil), s.names()...)
 	for _, extra := range []string{workloads.BranchyName, workloads.WeaveName} {
 		seen := false
 		for _, n := range names {

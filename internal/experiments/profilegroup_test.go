@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -96,13 +97,21 @@ func TestRefProfileRunsAlone(t *testing.T) {
 	if runs := s.profileRuns.Load(); runs != 1 {
 		t.Errorf("a lone ref profile cost %d profiling executions, want 1", runs)
 	}
-	if len(s.profiles) != 1 {
-		t.Errorf("a lone ref profile memoised %d cells, want 1", len(s.profiles))
-	}
-	for _, runs := range s.groups {
-		if len(runs) != 1 {
-			t.Errorf("a lone ref profile ran %d runtimes, want 1", len(runs))
+	cells := 0
+	for key, v := range s.cells {
+		switch key := key.(type) {
+		case string:
+			if strings.HasPrefix(key, "profile|") {
+				cells++
+			}
+		case groupKey:
+			if runs := v.([]*core.ProfileRun); len(runs) != 1 {
+				t.Errorf("a lone ref profile ran %d runtimes, want 1", len(runs))
+			}
 		}
+	}
+	if cells != 1 {
+		t.Errorf("a lone ref profile memoised %d cells, want 1", cells)
 	}
 }
 

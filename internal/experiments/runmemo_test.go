@@ -11,6 +11,7 @@ import (
 	"stridepf/internal/core"
 	"stridepf/internal/ir"
 	"stridepf/internal/obs"
+	"stridepf/internal/prefetch"
 )
 
 // trainLabels are the memo labels under which Figure 16 and the train
@@ -113,7 +114,7 @@ func TestSpeedupReusesEqualCleanRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := core.BuildPrefetched(w, pr.Profiles, s.cfg.Prefetch)
+	fb, err := prefetch.Apply(w.Program(), pr.Profiles, s.cfg.Prefetch)
 	if err != nil {
 		t.Fatal(err)
 	}

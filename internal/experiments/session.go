@@ -58,7 +58,8 @@ func PaperMethods() []MethodSpec {
 
 // Config parameterises an experiment session.
 type Config struct {
-	// Workloads selects benchmarks by name; empty selects all twelve.
+	// Workloads is the session's default roster of benchmarks by name;
+	// empty selects all twelve. Roster views select others.
 	Workloads []string
 	// Machine configures the simulated machine.
 	Machine machine.Config
@@ -88,13 +89,6 @@ type Config struct {
 	Trace *obs.Trace
 }
 
-func (c *Config) names() []string {
-	if len(c.Workloads) > 0 {
-		return c.Workloads
-	}
-	return workloads.Names()
-}
-
 func (c *Config) jobs() int {
 	if c.Jobs > 0 {
 		return c.Jobs
@@ -108,14 +102,35 @@ func (c *Config) jobs() int {
 // measurement run per distinct binary and input, however many figure cells
 // build that binary (see measure).
 //
+// A session is a default roster of workloads over one memo. Roster returns
+// a view with another roster over the same memo: every cell is keyed by its
+// workload, so views over overlapping rosters share their simulations, and
+// the memo stays bounded by workloads x methods x inputs however many
+// rosters ask for figures.
+//
 // A session is safe for concurrent use: each memoised entry is computed at
 // most once even under concurrent callers (per-key singleflight), and every
 // cell — profile, clean run, speedup, classification — builds its own
 // machine, heap and cache hierarchy, so cells share no mutable simulation
-// state. Warm exploits this to precompute cells on a bounded worker pool;
+// state. Warm exploits this to compute figures on a bounded worker pool;
 // the figure tables themselves are always assembled serially, so their
 // output is byte-identical whether or not the session was warmed.
 type Session struct {
+	// roster selects the view's workloads; empty selects all registered.
+	roster []string
+	// spawn is set on the views Warm computes: it runs fn on a goroutine of
+	// its own if one of Warm's slots is free, and reports whether it did
+	// (see row).
+	spawn func(fn func()) bool
+	*memo
+}
+
+// memo is what every view of a session shares: the configuration and one
+// map of finished cells beside the table of cells in flight. A cell's key
+// is a groupKey, a runKey or a string led by the cell's kind ("profile|",
+// "clean|", "speedup|", "classify|", "arena|", "paths|") and its workload.
+type memo struct {
+	// cfg.Workloads is unused: each view carries its own roster.
 	cfg Config
 
 	// hwpfFactory builds the per-machine prefetcher when cfg.HWPF is set;
@@ -125,16 +140,8 @@ type Session struct {
 	hwpfErr     error
 
 	mu       sync.Mutex
+	cells    map[any]any
 	inflight map[any]*flight
-
-	profiles   map[string]*core.ProfileRun
-	groups     map[groupKey][]*core.ProfileRun
-	cleans     map[string]core.RunStats
-	speedups   map[string]float64
-	runs       map[runKey]*measured
-	classes    map[string]*classBuckets
-	arenas     map[string]arenaCells
-	pathsCells map[string]*PathsCell
 
 	// measureRuns counts the simulations the run memo has executed, and
 	// profileRuns the profiling executions the group memo has.
@@ -182,46 +189,49 @@ type flight struct {
 	err  error
 }
 
-// NewSession returns an empty session.
+// NewSession returns an empty session over cfg.Workloads.
 func NewSession(cfg Config) *Session {
-	s := &Session{
-		cfg:        cfg,
-		inflight:   make(map[any]*flight),
-		profiles:   make(map[string]*core.ProfileRun),
-		groups:     make(map[groupKey][]*core.ProfileRun),
-		cleans:     make(map[string]core.RunStats),
-		speedups:   make(map[string]float64),
-		runs:       make(map[runKey]*measured),
-		classes:    make(map[string]*classBuckets),
-		arenas:     make(map[string]arenaCells),
-		pathsCells: make(map[string]*PathsCell),
-	}
+	m := &memo{cfg: cfg, cells: make(map[any]any), inflight: make(map[any]*flight)}
+	m.cfg.Workloads = nil
 	if cfg.HWPF != "" {
 		if _, err := hwpf.NewScheme(cfg.HWPF, cfg.HWPFConfig); err != nil {
-			s.hwpfErr = err
+			m.hwpfErr = err
 		} else {
 			scheme, hcfg := cfg.HWPF, cfg.HWPFConfig
-			s.hwpfFactory = func() machine.HWPrefetcher {
+			m.hwpfFactory = func() machine.HWPrefetcher {
 				p, _ := hwpf.NewScheme(scheme, hcfg)
 				return p
 			}
 		}
 	}
-	return s
+	return &Session{roster: cfg.Workloads, memo: m}
+}
+
+// Roster returns a view of the session whose figures cover names (empty
+// selects every registered workload). The view shares the session's memo,
+// so a cell both compute is computed once.
+func (s *Session) Roster(names []string) *Session {
+	return &Session{roster: names, memo: s.memo}
+}
+
+// names returns the view's workloads in row order.
+func (s *Session) names() []string {
+	if len(s.roster) > 0 {
+		return s.roster
+	}
+	return workloads.Names()
 }
 
 // do memoises compute under key with per-key singleflight: concurrent
 // callers of the same key block on one computation instead of duplicating
-// it. lookup and store run under the session lock and read/write the memo
-// map for the key's kind. Errors are propagated to every waiter of the
-// flight but not memoised, so a later caller retries and reports the error
-// itself.
+// it. Errors are propagated to every waiter of the flight but not
+// memoised, so a later caller retries and reports the error itself.
 //
 // Cancellation is per caller: a waiter whose ctx expires stops waiting
 // (the computation keeps running for whoever else wants it), and a waiter
 // that receives a cancellation error from someone else's flight retries
 // the computation under its own, still-live ctx.
-func (s *Session) do(ctx context.Context, key any, lookup func() (any, bool), store func(any), compute func() (any, error)) (any, error) {
+func (s *Session) do(ctx context.Context, key any, compute func() (any, error)) (any, error) {
 	if s.hwpfErr != nil {
 		return nil, s.hwpfErr
 	}
@@ -230,7 +240,7 @@ func (s *Session) do(ctx context.Context, key any, lookup func() (any, bool), st
 			return nil, err
 		}
 		s.mu.Lock()
-		if v, ok := lookup(); ok {
+		if v, ok := s.cells[key]; ok {
 			s.mu.Unlock()
 			return v, nil
 		}
@@ -254,7 +264,7 @@ func (s *Session) do(ctx context.Context, key any, lookup func() (any, bool), st
 
 		s.mu.Lock()
 		if f.err == nil {
-			store(f.val)
+			s.cells[key] = f.val
 		}
 		delete(s.inflight, key)
 		s.mu.Unlock()
@@ -296,6 +306,10 @@ func ctxErr(ctx context.Context, err error) error {
 	return err
 }
 
+// workload resolves a workload by name. Every cell reaches its program
+// through here, so here the program's CFG analysis runs first: it is the
+// one stage that writes to shared workload IR, and after it concurrent
+// cells only read.
 func (s *Session) workload(name string) (core.Workload, error) {
 	w := workloads.Get(name)
 	if w == nil {
@@ -303,71 +317,40 @@ func (s *Session) workload(name string) (core.Workload, error) {
 		// would change Figures 15-25); the paths figure reaches them here.
 		switch name {
 		case workloads.BranchyName:
-			return workloads.Branchy(), nil
+			w = workloads.Branchy()
 		case workloads.WeaveName:
-			return workloads.Weave(), nil
+			w = workloads.Weave()
+		default:
+			return nil, fmt.Errorf("experiments: unknown workload %q", name)
 		}
-		return nil, fmt.Errorf("experiments: unknown workload %q", name)
 	}
+	core.EnsureAnalyzed(w.Program())
 	return w, nil
-}
-
-// ClassifyProfile runs the feedback pass of workload wname over an
-// externally supplied profile — a store aggregate or an online window
-// snapshot — under the session's prefetch options (wsst additionally
-// enables weak-single-stride insertion). Unlike the figure cells it is
-// deliberately not memoised: the online PGO loop classifies a freshly
-// decayed snapshot every round, so no two calls see the same input.
-func (s *Session) ClassifyProfile(wname string, prof *profile.Combined, wsst bool) (*prefetch.Result, error) {
-	w, err := s.workload(wname)
-	if err != nil {
-		return nil, err
-	}
-	opts := s.cfg.Prefetch
-	if wsst {
-		opts.EnableWSST = true
-	}
-	return prefetch.Apply(w.Program(), prof, opts)
 }
 
 // Profile returns the memoised profiling run of the workload under the
 // given method and input. The cells of one profile group (see
-// profileGroup) share one execution: the first caller runs the whole group
-// in one core.ProfilePass, its other members riding as lanes, under a
-// singleflight key of the workload, the input, the fingerprint of the
-// instrumented program and the group's cells (see groupKey). Every
-// member's run equals its own ProfilePass.
+// profileGroup) share one execution: each cell computes through the group
+// memo, whose first caller runs the whole group in one core.ProfilePass,
+// its other members riding as lanes, under a key of the workload, the
+// input, the fingerprint of the instrumented program and the group's cells
+// (see groupKey). Every member's run equals its own ProfilePass.
 func (s *Session) Profile(ctx context.Context, wname string, m MethodSpec, in core.Input) (*core.ProfileRun, error) {
-	key := profileKey(wname, m.Name, in)
-	s.mu.Lock()
-	pr, ok := s.profiles[key]
-	s.mu.Unlock()
-	if ok {
-		return pr, nil
-	}
-	w, err := s.workload(wname)
-	if err != nil {
-		return nil, err
-	}
-	group, idx := profileGroup(w, m, in)
-	res, err := instrument.Instrument(w.Program(), group[0].Opts)
-	if err != nil {
-		return nil, err
-	}
-	gkey := groupKey{workload: wname, in: in, prog: ir.Fingerprint(res.Prog)}
-	for _, g := range group {
-		gkey.cells += g.Name + "|"
-	}
-	v, err := s.do(ctx, gkey,
-		func() (any, bool) { runs, ok := s.groups[gkey]; return runs, ok },
-		func(v any) {
-			runs := v.([]*core.ProfileRun)
-			s.groups[gkey] = runs
-			for i, g := range group {
-				s.profiles[profileKey(wname, g.Name, in)] = runs[i]
-			}
-		},
-		func() (any, error) {
+	v, err := s.do(ctx, "profile|"+wname+"|"+m.Name+"|"+in.Name, func() (any, error) {
+		w, err := s.workload(wname)
+		if err != nil {
+			return nil, err
+		}
+		group, idx := profileGroup(w, m, in)
+		res, err := instrument.Instrument(w.Program(), group[0].Opts)
+		if err != nil {
+			return nil, err
+		}
+		gkey := groupKey{workload: wname, in: in, prog: ir.Fingerprint(res.Prog)}
+		for _, g := range group {
+			gkey.cells += g.Name + "|"
+		}
+		runs, err := s.do(ctx, gkey, func() (any, error) {
 			twins := make([]instrument.Options, 0, len(group)-1)
 			for _, g := range group[1:] {
 				twins = append(twins, g.Opts)
@@ -381,15 +364,15 @@ func (s *Session) Profile(ctx context.Context, wname string, m MethodSpec, in co
 			pr.Lanes = nil
 			return runs, nil
 		})
+		if err != nil {
+			return nil, err
+		}
+		return runs.([]*core.ProfileRun)[idx], nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return v.([]*core.ProfileRun)[idx], nil
-}
-
-// profileKey is the memo key of one profile cell.
-func profileKey(wname, method string, in core.Input) string {
-	return "profile|" + wname + "|" + method + "|" + in.Name
+	return v.(*core.ProfileRun), nil
 }
 
 // profileGroup returns the profile cells one execution computes together
@@ -414,21 +397,17 @@ func profileGroup(w core.Workload, m MethodSpec, in core.Input) ([]MethodSpec, i
 
 // Clean returns the memoised uninstrumented run of the workload on input.
 func (s *Session) Clean(ctx context.Context, wname string, in core.Input) (core.RunStats, error) {
-	key := "clean|" + wname + "|" + in.Name
-	v, err := s.do(ctx, key,
-		func() (any, bool) { st, ok := s.cleans[key]; return st, ok },
-		func(v any) { s.cleans[key] = v.(core.RunStats) },
-		func() (any, error) {
-			w, err := s.workload(wname)
-			if err != nil {
-				return nil, err
-			}
-			m, err := s.measure(ctx, w, w.Program(), in, "")
-			if err != nil {
-				return nil, err
-			}
-			return m.run, nil
-		})
+	v, err := s.do(ctx, "clean|"+wname+"|"+in.Name, func() (any, error) {
+		w, err := s.workload(wname)
+		if err != nil {
+			return nil, err
+		}
+		m, err := s.measure(ctx, w, w.Program(), in, "")
+		if err != nil {
+			return nil, err
+		}
+		return m.run, nil
+	})
 	if err != nil {
 		return core.RunStats{}, err
 	}
@@ -439,38 +418,35 @@ func (s *Session) Clean(ctx context.Context, wname string, in core.Input) (core.
 // memoisation) and returns its speedup over the clean binary on input in.
 func (s *Session) Speedup(ctx context.Context, wname, profLabel string, prof *profile.Combined, in core.Input) (float64, error) {
 	key := "speedup|" + wname + "|" + profLabel + "|" + in.Name
-	v, err := s.do(ctx, key,
-		func() (any, bool) { sp, ok := s.speedups[key]; return sp, ok },
-		func(v any) { s.speedups[key] = v.(float64) },
-		func() (any, error) {
-			w, err := s.workload(wname)
-			if err != nil {
-				return nil, err
-			}
-			base, err := s.Clean(ctx, wname, in)
-			if err != nil {
-				return nil, err
-			}
-			fb, err := core.BuildPrefetched(w, prof, s.cfg.Prefetch)
-			if err != nil {
-				return nil, err
-			}
-			m, err := s.measure(ctx, w, fb.Prog, in, s.observation(key))
-			if err != nil {
-				return nil, err
-			}
-			if m.col != nil && s.cfg.Metrics != nil {
-				rep := obs.BuildReport(key, m.col)
-				rep.Workload = wname
-				rep.Label = profLabel + "|" + in.Name
-				s.cfg.Metrics.Register(rep)
-			}
-			if m.run.Ret != base.Ret {
-				return nil, fmt.Errorf("experiments: %s: prefetched binary diverged (%d vs %d)",
-					wname, m.run.Ret, base.Ret)
-			}
-			return float64(base.Stats.Cycles) / float64(m.run.Stats.Cycles), nil
-		})
+	v, err := s.do(ctx, key, func() (any, error) {
+		w, err := s.workload(wname)
+		if err != nil {
+			return nil, err
+		}
+		base, err := s.Clean(ctx, wname, in)
+		if err != nil {
+			return nil, err
+		}
+		fb, err := prefetch.Apply(w.Program(), prof, s.cfg.Prefetch)
+		if err != nil {
+			return nil, err
+		}
+		m, err := s.measure(ctx, w, fb.Prog, in, s.observation(key))
+		if err != nil {
+			return nil, err
+		}
+		if m.col != nil && s.cfg.Metrics != nil {
+			rep := obs.BuildReport(key, m.col)
+			rep.Workload = wname
+			rep.Label = profLabel + "|" + in.Name
+			s.cfg.Metrics.Register(rep)
+		}
+		if m.run.Ret != base.Ret {
+			return nil, fmt.Errorf("experiments: %s: prefetched binary diverged (%d vs %d)",
+				wname, m.run.Ret, base.Ret)
+		}
+		return float64(base.Stats.Cycles) / float64(m.run.Stats.Cycles), nil
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -502,171 +478,130 @@ func (s *Session) observation(key string) string {
 // pays for the fingerprint.
 func (s *Session) measure(ctx context.Context, w core.Workload, prog *ir.Program, in core.Input, observe string) (*measured, error) {
 	key := runKey{workload: w.Name(), in: in, prog: ir.Fingerprint(prog), obs: observe}
-	v, err := s.do(ctx, key,
-		func() (any, bool) { m, ok := s.runs[key]; return m, ok },
-		func(v any) { s.runs[key] = v.(*measured) },
-		func() (any, error) {
-			mcfg := s.mcfg(ctx)
-			var col *obs.Collector
-			if observe != "" {
-				col = obs.NewCollector(s.cfg.Trace.WithRun(observe))
-				mcfg.Obs = col
-			}
-			s.measureRuns.Add(1)
-			run, err := core.Execute(prog, w, in, mcfg)
-			if err != nil {
-				return nil, ctxErr(ctx, err)
-			}
-			return &measured{run: run, col: col}, nil
-		})
+	v, err := s.do(ctx, key, func() (any, error) {
+		mcfg := s.mcfg(ctx)
+		var col *obs.Collector
+		if observe != "" {
+			col = obs.NewCollector(s.cfg.Trace.WithRun(observe))
+			mcfg.Obs = col
+		}
+		s.measureRuns.Add(1)
+		run, err := core.Execute(prog, w, in, mcfg)
+		if err != nil {
+			return nil, ctxErr(ctx, err)
+		}
+		return &measured{run: run, col: col}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	return v.(*measured), nil
 }
 
-// warmTasks returns one closure per pipeline cell the named figures need.
-// Figures not in figs are skipped; an empty figs selects all of them. Task
-// errors are deliberately dropped: errors are not memoised, so the serial
-// figure assembly recomputes the failing cell and reports the error with
-// its usual context.
-func (s *Session) warmTasks(ctx context.Context, figs map[string]bool) []func() {
-	want := func(names ...string) bool {
-		if len(figs) == 0 {
-			return true
-		}
-		for _, n := range names {
-			if figs[n] {
-				return true
-			}
-		}
-		return false
-	}
-	var tasks []func()
-	for _, name := range s.cfg.names() {
-		name := name
-		w := workloads.Get(name)
-		if w == nil {
-			continue // the serial pass reports unknown workloads
-		}
-		train, ref := w.Train(), w.Ref()
-		if want("16", "17", "23", "24", "25") {
-			tasks = append(tasks, func() { _, _ = s.Clean(ctx, name, ref) })
-		}
-		if want("16", "20", "21", "22") {
-			for _, m := range PaperMethods() {
-				m := m
-				tasks = append(tasks, func() {
-					pr, err := s.Profile(ctx, name, m, train)
-					if err != nil || !want("16") {
-						return
-					}
-					_, _ = s.Speedup(ctx, name, m.Name+"-train", pr.Profiles, ref)
-				})
-			}
-		}
-		if want("20") {
-			tasks = append(tasks, func() { _, _ = s.Profile(ctx, name, edgeOnlySpec, train) })
-		}
-		if want("18", "19") {
-			tasks = append(tasks, func() { _, _ = s.classify(ctx, name) })
-		}
-		// The arena is opt-in only: it is not part of the paper's figure
-		// set, so the empty-figs "warm everything" default must not compute
-		// it (RunAll and `-figure all` stay byte-identical to pre-arena).
-		// One task per workload: a single lane execution computes the
-		// whole arena row (see arenaRow).
-		if figs["arena"] {
-			tasks = append(tasks, func() { _, _ = s.arenaRow(ctx, name) })
-		}
-		// The paths figure is opt-in for the same reason as the arena.
-		if figs["paths"] {
-			tasks = append(tasks, func() { _, _ = s.PathsCell(ctx, name) })
-		}
-		if want("23", "24", "25") {
-			tasks = append(tasks, func() {
-				m := sampleEdgeCheck()
-				trainPR, err := s.Profile(ctx, name, m, train)
-				if err != nil {
-					return
-				}
-				refPR, err := s.Profile(ctx, name, m, ref)
-				if err != nil {
-					return
-				}
-				for _, spec := range sensitivitySpecs() {
-					if !want(spec.fig) {
-						continue
-					}
-					for i, p := range spec.mix(trainPR, refPR) {
-						_, _ = s.Speedup(ctx, name, spec.title+spec.cols[i], p, ref)
-					}
-				}
-			})
-		}
-	}
-	return tasks
-}
-
-// Warm precomputes the pipeline cells the named figures ("16" through "25";
-// none selects all) will need, fanning the independent (workload, method,
-// input) cells out over a pool of up to jobs workers (jobs <= 0 selects
-// GOMAXPROCS). Warming is purely an optimisation: the figure methods
-// produce byte-identical tables — computed from the memoised cells — with
-// or without it. Cancelling ctx stops dispatching new cells (and aborts
-// the in-flight ones); Warm then returns early with the memo partially
-// populated, which is safe for the same reason warming is optional.
+// Warm precomputes the named figures ("16" through "25", "arena" or
+// "paths"; none selects 16 through 25) with up to jobs goroutines running
+// at once (jobs <= 0 selects GOMAXPROCS). Each task computes one figure
+// over a one-workload roster, figure by figure, so warming asks for
+// exactly the cells the figure code does. A slot left free helps a running
+// task with its table row (see row), so a one-workload roster still fans
+// out. Figure 15 has no cells and is skipped; the arena and paths figures
+// are computed only when named.
+//
+// Warming is purely an optimisation: the figure methods produce
+// byte-identical tables, computed from the memoised cells, with or without
+// it. Task errors are dropped: errors are not memoised, so the serial
+// assembly recomputes a failing cell and reports it. Cancelling ctx stops
+// dispatching tasks (and aborts the running ones); Warm then returns early
+// with the memo partially populated, which is safe for the same reason.
 func (s *Session) Warm(ctx context.Context, jobs int, figs ...string) {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	// The per-program CFG analysis is the one stage that writes to shared
-	// workload IR; run it before the fan-out so workers only read.
-	for _, name := range s.cfg.names() {
-		if w := workloads.Get(name); w != nil {
-			core.EnsureAnalyzed(w.Program())
-		}
+	if len(figs) == 0 {
+		figs = FigureNames()
 	}
-	sel := make(map[string]bool, len(figs))
-	for _, f := range figs {
-		sel[f] = true
-	}
-	if sel["paths"] {
-		core.EnsureAnalyzed(workloads.Branchy().Program())
-		core.EnsureAnalyzed(workloads.Weave().Program())
-	}
-	tasks := s.warmTasks(ctx, sel)
-	if jobs > len(tasks) {
-		jobs = len(tasks)
-	}
-	if jobs <= 1 {
-		for _, fn := range tasks {
-			if ctx.Err() != nil {
-				return
-			}
-			fn()
-		}
-		return
-	}
-	ch := make(chan func())
-	var wg sync.WaitGroup
-	for i := 0; i < jobs; i++ {
-		wg.Add(1)
+	// slots holds one token per running task or row helper.
+	slots := make(chan struct{}, jobs)
+	var running sync.WaitGroup
+	run := func(fn func()) {
+		running.Add(1)
 		go func() {
-			defer wg.Done()
-			for fn := range ch {
-				fn()
-			}
+			defer func() { <-slots; running.Done() }()
+			fn()
 		}()
 	}
-dispatch:
-	for _, fn := range tasks {
+	spawn := func(fn func()) bool {
 		select {
-		case ch <- fn:
-		case <-ctx.Done():
-			break dispatch
+		case slots <- struct{}{}:
+			run(fn)
+			return true
+		default:
+			return false
 		}
 	}
-	close(ch)
-	wg.Wait()
+dispatch:
+	for _, fig := range figs {
+		if fig == "15" {
+			continue
+		}
+		for _, name := range s.names() {
+			v := &Session{roster: []string{name}, spawn: spawn, memo: s.memo}
+			select {
+			case slots <- struct{}{}:
+				run(func() { _, _ = v.Figure(ctx, fig) })
+			case <-ctx.Done():
+				break dispatch
+			}
+		}
+	}
+	running.Wait()
+}
+
+// row returns cell(i) for each of a table row's n columns. base, when not
+// nil, fetches the cell every column is relative to, such as the clean run
+// a speedup divides by: it comes first, and the columns read its value
+// back from the memo. Each unit of the row, base or a column, goes to the
+// next taker. On a view Warm computes, every taker first offers the rest
+// of the row to a free Warm slot, so a one-workload figure still fans its
+// columns out. Otherwise the owner takes every unit in order, stopping at
+// the first error. Either way the error returned is the first in order.
+func (s *Session) row(n int, base func() error, cell func(i int) (float64, error)) ([]float64, error) {
+	if base == nil {
+		base = func() error { return nil }
+	}
+	// Unit 0 is base and unit i+1 is column i.
+	vals, errs := make([]float64, n), make([]error, n+1)
+	var next atomic.Int64
+	var helpers sync.WaitGroup
+	var take func()
+	take = func() {
+		for {
+			u := int(next.Add(1)) - 1
+			if u > n {
+				return
+			}
+			if s.spawn != nil && u < n {
+				helpers.Add(1)
+				if !s.spawn(func() { defer helpers.Done(); take() }) {
+					helpers.Done()
+				}
+			}
+			if u == 0 {
+				errs[0] = base()
+			} else {
+				vals[u-1], errs[u] = cell(u - 1)
+			}
+			if errs[u] != nil {
+				return
+			}
+		}
+	}
+	take()
+	helpers.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return vals, nil
 }

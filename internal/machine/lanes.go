@@ -9,7 +9,7 @@ import (
 
 // Lane is an extra memory system, with its own runtime hooks, that a
 // machine drives in lockstep with its primary one (Config.Hierarchy,
-// HWPrefetch, Obs and the hooks bound with Register). One execution of the
+// NewHWPrefetch, Obs and the hooks bound with Register). One execution of the
 // program then yields the run each lane's configuration would have produced
 // on its own machine: the instruction stream, registers and memory image
 // depend neither on cache or prefetcher state nor on the hooks, so only the

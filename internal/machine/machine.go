@@ -50,15 +50,12 @@ type Config struct {
 	MaxDepth int
 	// Seed seeds the OpRand generator.
 	Seed uint64
-	// HWPrefetch, when non-nil, observes every demand load (a hardware
-	// prefetcher model such as hwpf.RPT).
-	HWPrefetch HWPrefetcher
-	// NewHWPrefetch, when non-nil, constructs a fresh hardware prefetcher
-	// at New time and installs it as HWPrefetch (overriding any instance
-	// set there). It is a factory rather than an instance because predictor
-	// state is per-run: the experiment session hands one shared Config to
-	// many concurrently built machines, and a stateful table shared across
-	// them would let runs contaminate each other's predictions.
+	// NewHWPrefetch, when non-nil, constructs at New time the hardware
+	// prefetcher model (such as hwpf.RPT) that observes every demand load.
+	// It is a factory rather than an instance because predictor state is
+	// per-run: the experiment session hands one shared Config to many
+	// concurrently built machines, and a stateful table shared across them
+	// would let runs contaminate each other's predictions.
 	NewHWPrefetch func() HWPrefetcher
 	// SelfCheck runs naive shadow models of the cache hierarchy and the
 	// flat memory in lockstep with the optimized ones, cross-checking every
@@ -249,7 +246,7 @@ type Machine struct {
 	intr <-chan struct{}
 	// pairs caches Config.PairProfile for the step loop.
 	pairs *PairProfile
-	// pf caches Config.HWPrefetch for the step loop.
+	// pf is the prefetcher Config.NewHWPrefetch built, or nil.
 	pf HWPrefetcher
 	// lanes is the runtime state of Config.Lanes (nil without lanes): the
 	// lanes with a hierarchy of their own first, then those sharing the
@@ -309,8 +306,9 @@ func New(prog *ir.Program, opts ...Option) (*Machine, error) {
 		o(&cfg)
 	}
 	cfg.fill()
+	var pf HWPrefetcher
 	if cfg.NewHWPrefetch != nil {
-		cfg.HWPrefetch = cfg.NewHWPrefetch()
+		pf = cfg.NewHWPrefetch()
 	}
 	if err := ir.VerifyProgram(prog); err != nil {
 		return nil, err
@@ -327,7 +325,7 @@ func New(prog *ir.Program, opts ...Option) (*Machine, error) {
 		noPf:       cfg.DisablePrefetch,
 		intr:       cfg.Interrupt,
 		pairs:      cfg.PairProfile,
-		pf:         cfg.HWPrefetch,
+		pf:         pf,
 	}
 	if cfg.SelfCheck {
 		// Attach the shadows before any memory is touched (the heap and the
@@ -552,9 +550,9 @@ func (m *Machine) Now() uint64 {
 	return m.cycles
 }
 
-// HWPrefetch returns the machine's hardware prefetcher (the configured
-// instance, or the one its factory built at New time), or nil.
-func (m *Machine) HWPrefetch() HWPrefetcher { return m.cfg.HWPrefetch }
+// HWPrefetch returns the hardware prefetcher Config.NewHWPrefetch built at
+// New time, or nil.
+func (m *Machine) HWPrefetch() HWPrefetcher { return m.pf }
 
 // Stats returns execution statistics accumulated so far; inside a lane's
 // hook, Cycles is the lane's clock.

@@ -32,16 +32,10 @@ func WithMaxSteps(n uint64) Option {
 	return func(c *Config) { c.MaxSteps = n }
 }
 
-// WithHWPrefetch attaches a hardware prefetcher model observing the demand
-// load stream.
-func WithHWPrefetch(p HWPrefetcher) Option {
-	return func(c *Config) { c.HWPrefetch = p }
-}
-
 // WithHWPrefetchFactory installs a constructor that builds this machine's
-// hardware prefetcher at New time. Use it instead of WithHWPrefetch when
-// one configuration fans out to many machines: every machine gets its own
-// predictor state.
+// hardware prefetcher, observing the demand load stream, at New time. A
+// factory lets one configuration fan out to many machines, each with its
+// own predictor state.
 func WithHWPrefetchFactory(f func() HWPrefetcher) Option {
 	return func(c *Config) { c.NewHWPrefetch = f }
 }

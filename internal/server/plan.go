@@ -12,6 +12,7 @@ import (
 
 	"stridepf/internal/api"
 	"stridepf/internal/machine"
+	"stridepf/internal/prefetch"
 	"stridepf/internal/profile"
 	"stridepf/internal/workloads"
 )
@@ -153,7 +154,7 @@ func (w *planWatcher) ingest(s *Server, shard *profile.Combined) error {
 	}
 	w.rounds = rounds
 	snap, _ := w.window.Snapshot()
-	res, err := s.planSession.ClassifyProfile(w.workload, snap, s.cfg.Experiments.Prefetch.EnableWSST)
+	res, err := prefetch.Apply(analysedProgram(w.workload), snap, s.cfg.Experiments.Prefetch)
 	if err != nil {
 		return err
 	}

@@ -2,8 +2,8 @@
 // the stride-profiling pipeline. It accepts profile uploads from many
 // producers (a networked cmd/profmerge), aggregates them per (workload,
 // config) with version tracking, and serves figure tables, classification
-// decisions and prefetch-effectiveness metrics computed by the same
-// memoised experiment sessions the CLI uses — figure responses are
+// decisions and prefetch-effectiveness metrics computed by one memoised
+// experiment session, the pipeline the CLI runs — figure responses are
 // byte-identical to `experiments -figure N` output.
 //
 // The daemon is production-shaped: simulation-heavy requests run on a
@@ -27,7 +27,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,15 +34,17 @@ import (
 	"stridepf/internal/api"
 	"stridepf/internal/core"
 	"stridepf/internal/experiments"
+	"stridepf/internal/ir"
 	"stridepf/internal/machine"
 	"stridepf/internal/obs"
+	"stridepf/internal/prefetch"
 	"stridepf/internal/profile"
 	"stridepf/internal/workloads"
 )
 
 // Config parameterises the daemon.
 type Config struct {
-	// Experiments configures the sessions backing figure queries (machine
+	// Experiments configures the session backing figure queries (machine
 	// model, prefetch options, worker pool size). Its Workloads field sets
 	// the default roster; requests narrow it with ?workloads=. Its Metrics
 	// registry receives the prefetch-effectiveness reports of every
@@ -108,13 +109,11 @@ type Server struct {
 	draining bool
 	idle     chan struct{}
 
-	mu       sync.Mutex
-	sessions map[string]*experiments.Session
+	// sess memoises the figure cells of every roster (see Session.Roster).
+	sess *experiments.Session
 
-	// plans holds the online PGO watchers; planSession classifies their
-	// window snapshots (never memoised, so one shared session suffices).
-	plans       *planHub
-	planSession *experiments.Session
+	// plans holds the online PGO watchers.
+	plans *planHub
 
 	served   atomic.Int64 // completed heavy requests
 	rejected atomic.Int64 // 429 responses
@@ -136,17 +135,16 @@ func New(cfg Config) *Server {
 		lg = log.Default()
 	}
 	s := &Server{
-		cfg:      cfg,
-		store:    cfg.Store,
-		log:      lg,
-		mux:      http.NewServeMux(),
-		start:    time.Now(),
-		gate:     cfg.Gate,
-		idle:     make(chan struct{}),
-		sessions: make(map[string]*experiments.Session),
-		plans:    newPlanHub(),
+		cfg:   cfg,
+		store: cfg.Store,
+		log:   lg,
+		mux:   http.NewServeMux(),
+		start: time.Now(),
+		gate:  cfg.Gate,
+		idle:  make(chan struct{}),
+		sess:  experiments.NewSession(cfg.Experiments),
+		plans: newPlanHub(),
 	}
-	s.planSession = s.session(s.defaultRoster())
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /obs/metrics", s.handleObsMetrics)
 	s.mux.HandleFunc("GET /v1/figures", s.handleFigures)
@@ -268,29 +266,27 @@ func isTemporary(err error) bool {
 	return errors.As(err, &t) && t.Temporary()
 }
 
-// session returns the memoised experiment session for a workload roster,
-// creating it on first use. All sessions share the server's obs registry
-// and machine/prefetch configuration.
-func (s *Server) session(names []string) *experiments.Session {
-	key := strings.Join(names, ",")
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sess, ok := s.sessions[key]; ok {
-		return sess
-	}
-	cfg := s.cfg.Experiments
-	cfg.Workloads = names
-	sess := experiments.NewSession(cfg)
-	s.sessions[key] = sess
-	return sess
-}
-
 // defaultRoster is the workload selection when a request names none.
 func (s *Server) defaultRoster() []string {
 	if len(s.cfg.Experiments.Workloads) > 0 {
 		return append([]string(nil), s.cfg.Experiments.Workloads...)
 	}
 	return workloads.Names()
+}
+
+// analysedProgram returns the program of the registered workload name (nil
+// if there is none) once its CFG analysis has run. A figure request's first
+// cell on the workload runs that analysis, which rewrites the program's
+// edge lists in place (see core.EnsureAnalyzed), so the daemon's own
+// prefetch passes over the program must reach it through here.
+func analysedProgram(name string) *ir.Program {
+	w := workloads.Get(name)
+	if w == nil {
+		return nil
+	}
+	prog := w.Program()
+	core.EnsureAnalyzed(prog)
+	return prog
 }
 
 // rosterSpec is the DecodeParams spec shared by roster-selecting
@@ -321,11 +317,13 @@ func (s *Server) writeErr(w http.ResponseWriter, e *api.Error) {
 	}
 }
 
-// apiFromErr maps a pipeline error to the envelope: timeouts to 504,
-// client-abandoned work to 499 (the nginx convention), everything else to
-// a 500.
+// apiFromErr maps a pipeline error to the envelope: a figure with no
+// table to 404, timeouts to 504, client-abandoned work to 499 (the nginx
+// convention), everything else to a 500.
 func apiFromErr(err error) *api.Error {
 	switch {
+	case errors.Is(err, experiments.ErrUnknownFigure):
+		return api.Errorf(http.StatusNotFound, api.CodeUnknownFigure, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		return api.Errorf(http.StatusGatewayTimeout, api.CodeTimeout, "%v", err)
 	case errors.Is(err, context.Canceled), errors.Is(err, machine.ErrInterrupted):
@@ -391,22 +389,18 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, aerr)
 		return
 	}
-	sess := s.session(p.Workloads)
+	sess := s.sess.Roster(p.Workloads)
 	// Mirror the CLI: precompute the figure's cells on the session's worker
 	// pool, then assemble the table serially from the memoised cells. The
 	// output is byte-identical either way; warming only buys parallelism.
-	if jobs := s.cfg.Experiments.Jobs; jobs != 1 && name != "15" {
+	if jobs := s.cfg.Experiments.Jobs; jobs != 1 {
 		sess.Warm(r.Context(), jobs, name)
 	}
 	switch p.Format {
 	case "text", "csv":
 		text, err := sess.FigureText(r.Context(), name, p.Format == "csv")
 		if err != nil {
-			e := apiFromErr(err)
-			if strings.Contains(err.Error(), "unknown figure") {
-				e = api.Errorf(http.StatusNotFound, api.CodeUnknownFigure, "%v", err)
-			}
-			s.writeErr(w, e)
+			s.writeErr(w, apiFromErr(err))
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -419,11 +413,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 func (s *Server) streamFigureJSONL(w http.ResponseWriter, r *http.Request, sess *experiments.Session, name string) {
 	t, err := sess.Figure(r.Context(), name)
 	if err != nil {
-		e := apiFromErr(err)
-		if strings.Contains(err.Error(), "unknown figure") || strings.Contains(err.Error(), "figure 15") {
-			e = api.Errorf(http.StatusNotFound, api.CodeUnknownFigure, "%v", err)
-		}
-		s.writeErr(w, e)
+		s.writeErr(w, apiFromErr(err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/jsonl")
@@ -524,8 +514,8 @@ func (s *Server) handleProfileGet(w http.ResponseWriter, r *http.Request) {
 // offline `profmerge && prefetchc -report` flow as one query.
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	wname, cname := r.PathValue("workload"), r.PathValue("config")
-	wl := workloads.Get(wname)
-	if wl == nil {
+	prog := analysedProgram(wname)
+	if prog == nil {
 		s.writeErr(w, api.Errorf(http.StatusNotFound, api.CodeUnknownWorkload,
 			"unknown workload %q", wname))
 		return
@@ -547,7 +537,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if r.Context().Err() != nil {
 		return
 	}
-	fb, err := core.BuildPrefetched(wl, merged, opts)
+	fb, err := prefetch.Apply(prog, merged, opts)
 	if err != nil {
 		s.writeErr(w, apiFromErr(err))
 		return

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,6 +22,7 @@ import (
 	"stridepf/internal/machine"
 	"stridepf/internal/prefetch"
 	"stridepf/internal/profile"
+	"stridepf/internal/simcheck"
 	"stridepf/internal/stride"
 	"stridepf/internal/workloads"
 )
@@ -70,9 +72,11 @@ func TestHealthzAndFigureListing(t *testing.T) {
 		t.Errorf("figures listing: %d %s", code, body)
 	}
 
-	code, _, _ = get(t, ts.URL+"/v1/figure/99")
-	if code != http.StatusNotFound {
-		t.Errorf("unknown figure status = %d, want 404", code)
+	for _, path := range []string{"/v1/figure/99", "/v1/figure/15?format=jsonl"} {
+		code, _, body = get(t, ts.URL+path)
+		if code != http.StatusNotFound || !strings.Contains(string(body), api.CodeUnknownFigure) {
+			t.Errorf("%s: %d %s, want 404 %s", path, code, body, api.CodeUnknownFigure)
+		}
 	}
 	code, _, _ = get(t, ts.URL+"/v1/figure/16?workloads=999.bogus")
 	if code != http.StatusBadRequest {
@@ -200,7 +204,7 @@ func TestShardedUploadMatchesOfflineMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fbWant, err := core.BuildPrefetched(w, merged, prefetch.Options{})
+	fbWant, err := prefetch.Apply(w.Program(), merged, prefetch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +475,61 @@ func TestRosterNormalisation(t *testing.T) {
 	if fmt.Sprint(p1.Workloads) != fmt.Sprint(p2.Workloads) {
 		t.Errorf("equivalent rosters normalise differently: %v vs %v", p1.Workloads, p2.Workloads)
 	}
-	if srv.session(p1.Workloads) != srv.session(p2.Workloads) {
-		t.Error("equivalent rosters get distinct sessions")
+}
+
+// TestClassifyAndPlanRaceFirstFigure sends a classify request and a plan
+// upload for a workload whose program has never been analysed while the
+// first figure request on it runs. That request's first cell runs the
+// program's CFG analysis, which rewrites its edge lists in place, so under
+// -race this fails unless the daemon's own prefetch passes over the
+// program wait for the analysis too.
+func TestClassifyAndPlanRaceFirstFigure(t *testing.T) {
+	var k *simcheck.DriftKernel
+	var seed uint64
+	for k == nil {
+		seed = 0xE000 + driftSeq.Add(1)
+		if k = simcheck.NewDriftKernel(seed); workloads.Register(k) != nil {
+			k = nil
+		}
+	}
+	// A kernel of the same seed is the same IR in a program of its own,
+	// so profiling it leaves k's program unanalysed.
+	shard := driftProfile(t, simcheck.NewDriftKernel(seed))
+	_, ts := testServer(t, Config{})
+	upURL := ts.URL + "/v1/profiles/" + k.Name() + "/prod"
+	if code, body := uploadShard(t, upURL, shard); code != http.StatusOK {
+		t.Fatalf("upload: %d %s", code, body)
+	}
+	planStatus(t, ts.URL, k.Name()) // creates the watcher the next upload feeds
+
+	var buf bytes.Buffer
+	if err := profile.DefaultCodec.Encode(&buf, shard); err != nil {
+		t.Fatal(err)
+	}
+	reqs := []func() (*http.Response, error){
+		func() (*http.Response, error) { return http.Get(ts.URL + "/v1/figure/17?workloads=" + k.Name()) },
+		func() (*http.Response, error) { return http.Get(ts.URL + "/v1/classify/" + k.Name() + "/prod") },
+		func() (*http.Response, error) { return http.Post(upURL, "application/json", &buf) },
+	}
+	var wg sync.WaitGroup
+	for _, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := req()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s %s: %d %s", resp.Request.Method, resp.Request.URL.Path, resp.StatusCode, body)
+			}
+		}()
+	}
+	wg.Wait()
+	if st := planStatus(t, ts.URL, k.Name()); st.Epoch != 1 {
+		t.Errorf("plan epoch after the raced upload = %d, want 1", st.Epoch)
 	}
 }

@@ -40,7 +40,7 @@ func CheckHWPFNeutrality(seed uint64, cfg irgen.Config) error {
 		if err != nil {
 			return err
 		}
-		offRun, err := runProg(prog, machine.WithHWPrefetch(off))
+		offRun, err := runProg(prog, machine.WithHWPrefetchFactory(func() machine.HWPrefetcher { return off }))
 		if err != nil {
 			return fmt.Errorf("%s disabled run: %w", scheme, err)
 		}
@@ -53,7 +53,7 @@ func CheckHWPFNeutrality(seed uint64, cfg irgen.Config) error {
 		if err != nil {
 			return err
 		}
-		onRun, err := runProg(prog, machine.WithHWPrefetch(on))
+		onRun, err := runProg(prog, machine.WithHWPrefetchFactory(func() machine.HWPrefetcher { return on }))
 		if err != nil {
 			return fmt.Errorf("%s enabled run: %w", scheme, err)
 		}
@@ -86,7 +86,7 @@ func CheckHWPFNeutrality(seed uint64, cfg irgen.Config) error {
 		if err != nil {
 			return err
 		}
-		chkRun, err := runProg(prog, machine.WithHWPrefetch(chk), machine.WithSelfCheck())
+		chkRun, err := runProg(prog, machine.WithHWPrefetchFactory(func() machine.HWPrefetcher { return chk }), machine.WithSelfCheck())
 		if err != nil {
 			return fmt.Errorf("%s self-checked run: %w", scheme, err)
 		}

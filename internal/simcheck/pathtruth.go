@@ -118,7 +118,7 @@ func CheckPathTruth(seed uint64) error {
 
 	// 4. Feedback: split under paths profile, plain PMST under control.
 	popts := prefetch.Options{EnablePathSplit: true}
-	fb, err := core.BuildPrefetched(w, ppr.Profiles, popts)
+	fb, err := prefetch.Apply(w.Program(), ppr.Profiles, popts)
 	if err != nil {
 		return fmt.Errorf("path-split feedback: %w", err)
 	}
@@ -129,7 +129,7 @@ func CheckPathTruth(seed uint64) error {
 	if fb.PathSplitLoads != 1 {
 		return fmt.Errorf("PathSplitLoads = %d, want 1", fb.PathSplitLoads)
 	}
-	cfb, err := core.BuildPrefetched(w, cpr.Profiles, popts)
+	cfb, err := prefetch.Apply(w.Program(), cpr.Profiles, popts)
 	if err != nil {
 		return fmt.Errorf("control feedback: %w", err)
 	}

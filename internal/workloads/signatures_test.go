@@ -127,7 +127,7 @@ func TestComputeBoundSignatures(t *testing.T) {
 	for _, name := range []string{"186.crafty", "252.eon", "253.perlbmk"} {
 		pr := naiveAllProfile(t, name)
 		w := Get(name)
-		fb, err := core.BuildPrefetched(w, pr.Profiles, prefetch.Options{})
+		fb, err := prefetch.Apply(w.Program(), pr.Profiles, prefetch.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -157,7 +157,7 @@ func TestParserOutLoopSSST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := core.BuildPrefetched(w, pr.Profiles, prefetch.Options{})
+	fb, err := prefetch.Apply(w.Program(), pr.Profiles, prefetch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +238,11 @@ func TestTwoPassMatchesNaiveLoopDecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fbTwo, err := core.BuildPrefetched(w, twoPassProf, prefetch.Options{})
+	fbTwo, err := prefetch.Apply(w.Program(), twoPassProf, prefetch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fbNaive, err := core.BuildPrefetched(w, naive.Profiles, prefetch.Options{})
+	fbNaive, err := prefetch.Apply(w.Program(), naive.Profiles, prefetch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
