@@ -85,10 +85,10 @@ type Config struct {
 	// close the lifecycle accounting.
 	Obs *obs.Collector
 	// Lanes are extra memory systems, each with its own hook bindings,
-	// driven in lockstep with the primary one above, so one execution
-	// yields a run per cache/prefetcher/runtime configuration (see Lane).
-	// A lane shares the primary's hierarchy when no prefetch can be in
-	// flight, and otherwise keeps its own.
+	// driven beside the primary one above, so one execution yields a run
+	// per cache/prefetcher/runtime configuration (see Lane). A lane shares
+	// the primary's hierarchy when no prefetch can be in flight, and
+	// otherwise keeps its own and replays the recorded references.
 	Lanes []Lane
 	// Interrupt, when non-nil, aborts a running simulation shortly after the
 	// channel becomes readable (typically a context's Done channel): the
@@ -252,9 +252,12 @@ type Machine struct {
 	// lanes with a hierarchy of their own first, then those sharing the
 	// primary's (see attachLanes).
 	lanes []lane
-	// fan is the prefix of lanes with a hierarchy of their own, which every
-	// memory access fans out to (nil when there are none).
+	// fan is the prefix of lanes with a hierarchy of their own, which
+	// replay every memory access (nil when there are none).
 	fan []lane
+	// recs is the block of references and lane charges recorded since the
+	// fan-out last replayed (see replay); its capacity is laneBlock.
+	recs []laneRec
 	// cur is the lane whose hook is running, or nil: the clock accessors
 	// charge and read its clock instead of the primary's.
 	cur *lane
@@ -498,7 +501,7 @@ func (m *Machine) resolveHooks() error {
 // charges the lane's clock.
 func (m *Machine) AddCycles(n uint64) {
 	if m.cur != nil {
-		m.cur.skew += n
+		m.charge(m.cur, n)
 		return
 	}
 	m.cycles += n
@@ -542,10 +545,14 @@ func (m *Machine) FinishObs() {
 }
 
 // Now returns the current simulated cycle; inside a lane's hook, the
-// lane's.
+// lane's, which first replays what the lanes of the fan-out have not yet
+// seen.
 func (m *Machine) Now() uint64 {
-	if m.cur != nil {
-		return m.cycles + m.cur.skew
+	if l := m.cur; l != nil {
+		if l.fan >= 0 {
+			m.replay()
+		}
+		return m.cycles + l.skew
 	}
 	return m.cycles
 }
@@ -587,6 +594,12 @@ func (m *Machine) LoadCounts() map[LoadKey]uint64 {
 // returned error (use errors.As with *cache.DivergenceError or
 // *mem.DivergenceError to inspect the event trace; the cache's carries the
 // diverging access's cycle).
+//
+// However the run ends, the lanes of the fan-out then replay the
+// references recorded since their last replay, so Lanes and FinishObs see
+// them at the instruction the run stopped on. Those references all precede
+// where the run stopped, so a divergence a lane raises replaying them is
+// the error Run returns.
 func (m *Machine) Run() (ret int64, err error) {
 	entry := m.codes[m.prog.Main]
 	if entry == nil {
@@ -597,26 +610,38 @@ func (m *Machine) Run() (ret int64, err error) {
 			return 0, err
 		}
 	}
+	m.pollMark = m.stats.Instrs >> 16
+	err = m.checked(func() (err error) {
+		ret, err = m.call(entry, nil, 0)
+		return err
+	})
+	if rerr := m.checked(func() error { m.replay(); return nil }); rerr != nil {
+		ret, err = 0, rerr
+	}
+	if err == nil && m.fault != nil {
+		err = m.fault
+	}
+	return ret, err
+}
+
+// checked runs f; under Config.SelfCheck it converts a shadow model's
+// divergence panic into the returned error.
+func (m *Machine) checked(f func() error) (err error) {
 	if m.cfg.SelfCheck {
 		defer func() {
 			m.cur = nil
 			switch d := recover().(type) {
 			case nil:
 			case *cache.DivergenceError:
-				ret, err = 0, fmt.Errorf("machine: self-check: %w", d)
+				err = fmt.Errorf("machine: self-check: %w", d)
 			case *mem.DivergenceError:
-				ret, err = 0, fmt.Errorf("machine: self-check: %w", d)
+				err = fmt.Errorf("machine: self-check: %w", d)
 			default:
 				panic(d)
 			}
 		}()
 	}
-	m.pollMark = m.stats.Instrs >> 16
-	ret, err = m.call(entry, nil, 0)
-	if err == nil && m.fault != nil {
-		err = m.fault
-	}
-	return ret, err
+	return f()
 }
 
 func (m *Machine) getRegs(n int) []int64 {

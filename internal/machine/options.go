@@ -70,8 +70,8 @@ func WithPairProfile(p *PairProfile) Option {
 	return func(c *Config) { c.PairProfile = p }
 }
 
-// WithLanes attaches extra memory systems driven in lockstep with the
-// primary one (see Lane).
+// WithLanes attaches extra memory systems driven beside the primary one
+// (see Lane).
 func WithLanes(lanes ...Lane) Option {
 	return func(c *Config) { c.Lanes = lanes }
 }

@@ -12,9 +12,10 @@ import (
 // the per-instruction overheads charged once per xinstr and the dominant
 // dynamic pairs running as superinstructions. Observers attach inside the
 // memory handlers: the hardware prefetcher's Observe after each demand
-// load, the lane fan-out beside every hierarchy access, and the obs
-// collector and shadow models inside the hierarchy and memory themselves;
-// lanes' hooks run inside the bound hook itself (see laneHook).
+// load, the record of the lane fan-out beside every hierarchy access (see
+// replay), and the obs collector and shadow models inside the hierarchy and
+// memory themselves; lanes' hooks run inside the bound hook itself (see
+// laneHook).
 // Traced and pair-profiled runs execute the exact translation, which the
 // fused one must match bit for bit — cycles, statistics, registers, memory,
 // per-load counts, error identity — as the tests in fused_test.go and
@@ -347,7 +348,7 @@ blocks:
 				addr := uint64(regs[x.s0] + x.imm)
 				lat := uint64(m.Hier.Load(addr, cycles))
 				if m.fan != nil {
-					m.laneLoad(c.loadPCs[x.loadSlot], addr, cycles, lat, true)
+					m.record(laneRec{kind: recLoad, pc: c.loadPCs[x.loadSlot], addr: addr, now: cycles, lat: lat})
 				}
 				cycles += lat
 				regs[x.dst] = m.Mem.Load(addr)
@@ -366,7 +367,7 @@ blocks:
 				addr := uint64(regs[x.s0] + x.imm)
 				lat := uint64(m.Hier.Load(addr, cycles))
 				if m.fan != nil {
-					m.laneLoad(0, addr, cycles, lat, false)
+					m.record(laneRec{kind: recSpecLoad, addr: addr, now: cycles, lat: lat})
 				}
 				cycles += lat
 				regs[x.dst] = m.Mem.Load(addr)
@@ -377,7 +378,7 @@ blocks:
 				addr := uint64(regs[x.s0] + x.imm)
 				lat := uint64(m.Hier.Store(addr, cycles))
 				if m.fan != nil {
-					m.laneStore(addr, cycles, lat)
+					m.record(laneRec{kind: recStore, addr: addr, now: cycles, lat: lat})
 				}
 				cycles += lat
 				m.Mem.Store(addr, regs[x.s1])
@@ -393,7 +394,7 @@ blocks:
 				if !m.noPf && m.Mem.Mapped(addr) {
 					m.Hier.PrefetchClass(addr, cycles, obs.Class(x.pfClass))
 					if m.fan != nil {
-						m.lanePrefetch(addr, cycles, obs.Class(x.pfClass))
+						m.record(laneRec{kind: recPrefetch, class: x.pfClass, addr: addr, now: cycles})
 					}
 				}
 
@@ -419,7 +420,7 @@ blocks:
 				cycles++ // load slot
 				lat := uint64(m.Hier.Load(addr, cycles))
 				if m.fan != nil {
-					m.laneLoad(c.loadPCs[x.loadSlot], addr, cycles, lat, true)
+					m.record(laneRec{kind: recLoad, pc: c.loadPCs[x.loadSlot], addr: addr, now: cycles, lat: lat})
 				}
 				cycles += lat
 				regs[x.dst] = m.Mem.Load(addr)

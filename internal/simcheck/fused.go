@@ -47,7 +47,8 @@ func CheckFusedDifferential(seed uint64, cfg irgen.Config) error {
 	if err := fusedMatchesExact("generated", prog, seed); err != nil {
 		return err
 	}
-	if err := fusedMatchesExact("load+store walk", loadStoreWalk(seed), seed); err != nil {
+	walk := loadStoreWalk(seed, int64(100+seed%400), kernelStrides[seed%uint64(len(kernelStrides))]*8, false)
+	if err := fusedMatchesExact("load+store walk", walk, seed); err != nil {
 		return err
 	}
 
@@ -144,11 +145,12 @@ func fusedMatchesExact(name string, prog *ir.Program, seed uint64) error {
 	return nil
 }
 
-// loadStoreWalk builds a loop whose body loads a word and stores the
-// running sum into the next one, walking an array with a seed-drawn stride
-// and trip count: a load immediately followed by a store that reads neither
-// operand from it.
-func loadStoreWalk(seed uint64) *ir.Program {
+// loadStoreWalk builds a loop of trip iterations whose body loads a word
+// and stores the running sum into the next one, walking an array with the
+// given stride: a load immediately followed by a store that reads neither
+// operand from it. With prefetch set, each iteration first prefetches two
+// iterations ahead and adds in a third word.
+func loadStoreWalk(seed uint64, trip, stride int64, prefetch bool) *ir.Program {
 	b := ir.NewBuilder("main")
 	head, body, exit := b.Block("head"), b.Block("body"), b.Block("exit")
 	p := b.F.NewReg()
@@ -157,15 +159,19 @@ func loadStoreWalk(seed uint64) *ir.Program {
 	b.MovConst(i, 0)
 	acc := b.F.NewReg()
 	b.MovConst(acc, int64(seed%1024))
-	trip := b.Const(int64(100 + seed%400))
+	n := b.Const(trip)
 	b.Br(head)
 	b.At(head)
-	b.CondBr(b.CmpLT(i, trip), body, exit)
+	b.CondBr(b.CmpLT(i, n), body, exit)
 	b.At(body)
+	if prefetch {
+		b.Prefetch(p, 2*stride).PFClass = ir.PFSSST
+		b.Mov(acc, b.Add(acc, b.Load(p, 16).Dst))
+	}
 	v := b.Load(p, 0).Dst
 	b.Store(p, 8, acc)
 	b.Mov(acc, b.Add(acc, v))
-	b.AddITo(p, p, kernelStrides[seed%uint64(len(kernelStrides))]*8)
+	b.AddITo(p, p, stride)
 	b.AddITo(i, i, 1)
 	b.Br(head)
 	b.At(exit)

@@ -77,8 +77,29 @@ func accountOf(st machine.Stats, h *cache.Hierarchy, pf machine.HWPrefetcher, co
 // (deep-equal, reconciled). The lane run is repeated under the shadow
 // models. The hooked half (checkHookedLanes) then profiles the program
 // with a stride runtime per lane.
+//
+// Generated programs make at most a few thousand memory references, fewer
+// than one block of the lanes' record-and-replay (16384 records, DESIGN.md
+// §10), so both halves also run a seed-drawn walk (loadStoreWalk) of 9000
+// to 15000 iterations, each a software prefetch, a load and a load+store
+// pair, the hooked half with a seed-drawn prefetcher. Its lane runs cross
+// two to four blocks, with hook charges recorded mid-block.
 func CheckLanes(seed uint64, cfg irgen.Config) error {
 	prog := irgen.Generate(seed, cfg)
+	trip := int64(9000 + (seed*0x9E3779B97F4A7C15>>40)%6000)
+	walk := loadStoreWalk(seed, trip, kernelStrides[seed%uint64(len(kernelStrides))], true)
+	if err := checkMemoryLanes("generated", prog); err != nil {
+		return err
+	}
+	if err := checkMemoryLanes("walk", walk); err != nil {
+		return err
+	}
+	return checkHookedLanes(seed, prog, walk)
+}
+
+// checkMemoryLanes is CheckLanes' memory-system half on prog, labelling
+// failures with name.
+func checkMemoryLanes(name string, prog *ir.Program) error {
 	type config struct {
 		hier   cache.HierarchyConfig
 		scheme string
@@ -99,11 +120,11 @@ func CheckLanes(seed uint64, cfg irgen.Config) error {
 			return err
 		}
 		if _, err := m.Run(); err != nil {
-			return fmt.Errorf("standalone run %d (%s): %w", i, c.scheme, err)
+			return fmt.Errorf("%s: standalone run %d (%s): %w", name, i, c.scheme, err)
 		}
 		m.FinishObs()
 		if err := col.Reconcile(); err != nil {
-			return fmt.Errorf("standalone run %d (%s): %w", i, c.scheme, err)
+			return fmt.Errorf("%s: standalone run %d (%s): %w", name, i, c.scheme, err)
 		}
 		want[i] = accountOf(m.Stats(), m.Hier, m.HWPrefetch(), col)
 	}
@@ -124,25 +145,24 @@ func CheckLanes(seed uint64, cfg irgen.Config) error {
 			return err
 		}
 		if _, err := m.Run(); err != nil {
-			return fmt.Errorf("lane run (self-check %v): %w", checked, err)
+			return fmt.Errorf("%s: lane run (self-check %v): %w", name, checked, err)
 		}
 		m.FinishObs()
 		got := []laneRun{accountOf(m.Stats(), m.Hier, m.HWPrefetch(), pcol)}
 		for i, v := range m.Lanes() {
 			if err := lanes[i].Obs.Reconcile(); err != nil {
-				return fmt.Errorf("lane %d: %w", i+1, err)
+				return fmt.Errorf("%s: lane %d: %w", name, i+1, err)
 			}
 			got = append(got, accountOf(v.Stats, v.Hier, v.HWPrefetch, lanes[i].Obs))
 		}
 		for i := range cfgs {
 			if !reflect.DeepEqual(got[i], want[i]) {
-				return fmt.Errorf("lane %d (scheme %q, self-check %v) differs from its standalone run:\nlane       %+v\nstandalone %+v",
-					i, cfgs[i].scheme, checked, got[i], want[i])
+				return fmt.Errorf("%s: lane %d (scheme %q, self-check %v) differs from its standalone run:\nlane       %+v\nstandalone %+v",
+					name, i, cfgs[i].scheme, checked, got[i], want[i])
 			}
 		}
 	}
-
-	return checkHookedLanes(seed, prog)
+	return nil
 }
 
 // progWorkload runs a generated program as a core.Workload. Generated
@@ -183,9 +203,9 @@ func profAccountOf(pr *core.ProfileRun) (profAccount, error) {
 // on the program's own software prefetches, where every lane keeps its own
 // hierarchy, and with neither on the program stripped of its prefetches,
 // where every lane shares the primary's; each also under the shadow
-// models. A lane with an unbound hook must fail Run before the first
-// instruction.
-func checkHookedLanes(seed uint64, prog *ir.Program) error {
+// models. The walk runs with the seed-drawn prefetcher. A lane with an
+// unbound hook must fail Run before the first instruction.
+func checkHookedLanes(seed uint64, prog, walk *ir.Program) error {
 	method := []instrument.Method{instrument.NaiveAll, instrument.NaiveLoop, instrument.EdgeCheck}[seed%3]
 	configs := []stride.Config{
 		{},
@@ -201,7 +221,7 @@ func checkHookedLanes(seed uint64, prog *ir.Program) error {
 		scheme string
 		prog   *ir.Program
 		shared bool
-	}{{scheme, prog, false}, {"", prog, !hasOp(prog, ir.OpPrefetch)}, {"", stripPrefetches(prog), true}} {
+	}{{scheme, prog, false}, {"", prog, !hasOp(prog, ir.OpPrefetch)}, {"", stripPrefetches(prog), true}, {scheme, walk, false}} {
 		w := progWorkload{mode.prog}
 		if err := checkLaneSharing(w, opts, mode.scheme, mode.shared); err != nil {
 			return err
