@@ -66,15 +66,18 @@ race-full:
 
 # Byte-identity gate: the paper figures (also with the rpt hardware
 # prefetcher, the one figure job whose hooked lanes keep hierarchies of
-# their own) and the prefetcher arena, all computed in parallel, must equal
-# their committed outputs. The arena golden belongs to the end-to-end
-# benchmark and is only read here; the same arena run also writes its
-# per-cell obs counters, which must equal the metrics golden.
+# their own), the prefetcher arena and the Ball-Larus path table over
+# every workload (the one figure job whose translations dispatch an
+# equality compare+branch), all computed in parallel, must equal their
+# committed outputs. The arena golden belongs to the end-to-end benchmark
+# and is only read here; the same arena run also writes its per-cell obs
+# counters, which must equal the metrics golden.
 golden:
 	$(GO) run ./cmd/experiments -figure all -j 2 | cmp - figures_output.txt
 	$(GO) run ./cmd/experiments -figure all -j 2 -hwpf rpt | cmp - internal/experiments/testdata/figures_hwpf_rpt.golden
 	$(GO) run ./cmd/experiments -figure arena -j 2 -metrics /tmp/stridepf-arena-metrics.json | cmp - e2ebench/testdata/arena_all.golden
 	cmp /tmp/stridepf-arena-metrics.json internal/experiments/testdata/arena_metrics.golden
+	$(GO) run ./cmd/experiments -figure paths -j 2 | cmp - internal/experiments/testdata/paths_all.golden
 
 # Short coverage-guided fuzzing runs seeded from testdata/fuzz corpora.
 # ~10s per target: enough to exercise the mutator, not a soak test.
@@ -100,8 +103,9 @@ bench:
 bench-json:
 	$(GO) run ./cmd/interpbench -o BENCH_interp.json
 
-# Dynamic instruction-pair frequencies over the workloads: the profile pass
-# the fused interpreter's superinstruction set is selected from.
+# Dynamic instruction-pair frequencies over the workloads. They only propose
+# superinstruction candidates: a fusion rule stays only if counting shows
+# the workloads' translations form it (DESIGN.md section 7).
 bench-pairs:
 	$(GO) run ./cmd/interpbench -pairs
 

@@ -20,8 +20,10 @@
 //
 // With -pairs the command skips benchmarking and instead runs the dynamic
 // instruction-pair profile pass over the paper workloads (clean and
-// NaiveAll-instrumented): the measured pair frequencies are the selection
-// input for the interpreter's superinstruction set (see DESIGN.md).
+// NaiveAll-instrumented). The pair frequencies only propose superinstruction
+// candidates: a fusion rule stays in the interpreter only if counting the
+// xinstrs the workloads' translations form and dispatch shows that they
+// form it (see DESIGN.md §7).
 package main
 
 import (
@@ -220,8 +222,8 @@ func compareReports(w *os.File, path string, cur *Report) (regressed bool, err e
 
 // runPairProfile executes every registered workload on its train input —
 // clean and NaiveAll-instrumented — under the machine's dynamic
-// instruction-pair profiler and prints the top pairs. This is the profile
-// pass the interpreter's superinstruction set was selected from.
+// instruction-pair profiler and prints the top pairs: the profile pass that
+// proposes the interpreter's superinstruction candidates.
 func runPairProfile(w *os.File) error {
 	pp := machine.NewPairProfile()
 	for _, wl := range workloads.All() {

@@ -10,20 +10,23 @@
 //     predicate test, cost charge, dispatch switch) are hoisted to once per
 //     xinstr, and an xinstr can cover many source instructions (a full micro
 //     group plus its folded constants and trailing branch);
-//   - the dominant dynamic pairs get dedicated superinstruction handlers
-//     (compare+branch, load+store, load+hook — see DESIGN.md for the
-//     measured pair distribution this set was chosen from);
+//   - a compare feeding the conditional branch on its result dispatches as
+//     one compare+branch superinstruction (see DESIGN.md for the measured
+//     pair and xinstr counts behind this rule);
 //   - remaining straight-line ALU runs execute as micro groups whose
 //     members skip everything but the operation itself, with single-use
 //     constants folded into their consumers' immediate operands.
 //
 // The fusion rules only merge instruction sequences with no observation
 // point (hierarchy access, hook call, nested call) between the merged
-// members, so charging their fixed costs in one lump is invisible. The exact
-// translation has one source instruction per xinstr and none of the above;
-// it serves instruction tracing, pair profiling and the instruction-budget
-// tail, and defines the semantics the fused translation must match cycle for
-// cycle (fused_test.go and simcheck's fused property compare the two).
+// members, so charging their fixed costs in one lump is invisible; memory,
+// hook and call instructions stay singletons. The fused translation thus
+// depends only on the program: every machine runs the same one, whatever it
+// has attached. The exact translation has one source instruction per xinstr
+// and none of the above; it serves instruction tracing, pair profiling and
+// the instruction-budget tail, and defines the semantics the fused
+// translation must match cycle for cycle (fused_test.go and simcheck's fused
+// property compare the two).
 package machine
 
 import "stridepf/internal/ir"
@@ -88,15 +91,6 @@ const (
 	xLeBr
 	xGtBr
 	xGeBr
-	// xEqBrI..xGeBrI are the immediate forms: a dead single-use OpConst
-	// folded into the compare, so the whole const+compare+branch triple is
-	// one dispatch comparing s0 against imm.
-	xEqBrI
-	xNeBrI
-	xLtBrI
-	xLeBrI
-	xGtBrI
-	xGeBrI
 	// xBr / xCondBr / xRet are the unfused terminators.
 	xBr
 	xCondBr
@@ -106,13 +100,6 @@ const (
 	xSpecLoad
 	xStore
 	xPrefetch
-	// xLoadStore presents a load (dst, s0, imm, loadSlot) and the following
-	// store (s2, s3, imm2) to the cache hierarchy as one batch. The fixed
-	// costs ride on the batch refs, so cost is 0 here.
-	xLoadStore
-	// xLoadHook is a load immediately feeding a profiling hook; the handler
-	// charges the two occupancy cycles around the access itself.
-	xLoadHook
 	// xHook / xCall / xAlloc / xRand are the remaining singletons.
 	xHook
 	xCall
@@ -130,8 +117,10 @@ const (
 const groupMax = 6
 
 // xinstr is one fused-form instruction. Exactly one kind's field subset is
-// meaningful; nsrc source instructions and cost fixed cycles are charged up
-// front by the step loop.
+// meaningful. It covers the nsrc source instructions from src on, and cost
+// is the sum of their fixed costs (OpCost); the step loop charges both up
+// front, so no handler charges a fixed cost itself. (A traced instruction
+// is the one split: its xTrace carries the count, the instruction the cost.)
 type xinstr struct {
 	kind    xkind
 	nsrc    uint8
@@ -144,12 +133,10 @@ type xinstr struct {
 	src      int32
 	dst      int32
 	s0, s1   int32
-	s2, s3   int32 // fused store operands (xLoadStore)
 	pred     int32 // qualifying predicate register, or -1 (singletons only)
 	t0, t1   int32
 	loadSlot int32
 	imm      int64
-	imm2     int64 // fused store displacement (xLoadStore)
 	mi       [groupMax]micro
 	hook     HookFunc
 	callee   *code
@@ -238,39 +225,6 @@ func cmpBrKind(u uKind) (xkind, bool) {
 		return xGtBr, true
 	case uCmpGE:
 		return xGeBr, true
-	}
-	return 0, false
-}
-
-// cmpBrIKind maps a compare opcode to its immediate compare+branch handler.
-// constLeft flips the relation so the immediate always sits on the right:
-// imm < x is x > imm, and so on (EQ/NE are symmetric).
-func cmpBrIKind(op ir.Opcode, constLeft bool) (xkind, bool) {
-	switch op {
-	case ir.OpCmpEQ:
-		return xEqBrI, true
-	case ir.OpCmpNE:
-		return xNeBrI, true
-	case ir.OpCmpLT:
-		if constLeft {
-			return xGtBrI, true
-		}
-		return xLtBrI, true
-	case ir.OpCmpLE:
-		if constLeft {
-			return xGeBrI, true
-		}
-		return xLeBrI, true
-	case ir.OpCmpGT:
-		if constLeft {
-			return xLtBrI, true
-		}
-		return xGtBrI, true
-	case ir.OpCmpGE:
-		if constLeft {
-			return xLeBrI, true
-		}
-		return xGeBrI, true
 	}
 	return 0, false
 }
@@ -375,8 +329,7 @@ func (c *code) link(xb *xblock) {
 		switch x.kind {
 		case xALUBr, xBr:
 			x.xb0 = c.xb[x.t0]
-		case xEqBr, xNeBr, xLtBr, xLeBr, xGtBr, xGeBr,
-			xEqBrI, xNeBrI, xLtBrI, xLeBrI, xGtBrI, xGeBrI, xCondBr:
+		case xEqBr, xNeBr, xLtBr, xLeBr, xGtBr, xGeBr, xCondBr:
 			x.xb0, x.xb1 = c.xb[x.t0], c.xb[x.t1]
 		}
 	}
@@ -442,10 +395,6 @@ func (m *Machine) translateBlock(c *code, bi int32, exact bool) *xblock {
 	// Traced and pair-profiled runs observe every instruction through an
 	// xTrace ahead of it.
 	observe := exact && (m.cfg.Trace != nil || m.pairs != nil)
-	// load+store batching presents the store before a prefetcher or a lane
-	// with its own hierarchy could observe the load, so it forms only when
-	// neither is attached.
-	batch := m.pf == nil && m.fan == nil
 
 	var g [groupMax]micro
 	ng := 0     // micros pending in g
@@ -501,58 +450,34 @@ func (m *Machine) translateBlock(c *code, bi int32, exact bool) *xblock {
 		// fresh-temp-per-Const idiom makes this the common case. The covered
 		// source count and cost still include the const, so instruction and
 		// cycle accounting stay identical to the exact translation.
-		if d.op == ir.OpConst && ii+1 < len(blk) && c.regReads[d.dst] == 1 {
+		if d.op == ir.OpConst && ii+1 < len(blk) && c.regReads[d.dst] == 1 && blk[ii+1].pred < 0 {
 			n := &blk[ii+1]
-			if n.pred < 0 {
-				// Triple: const + compare + branch-on-compare becomes one
-				// immediate compare+branch dispatch.
-				if _, isCmp := cmpBrIKind(n.op, false); isCmp && ii+2 < len(blk) {
-					onL, onR := n.s0 == d.dst, n.s1 == d.dst
-					if onL != onR {
-						if t := &blk[ii+2]; t.op == ir.OpCondBr && t.pred < 0 && t.s0 == n.dst {
-							xk, _ := cmpBrIKind(n.op, onL)
-							surv := n.s0
-							if onL {
-								surv = n.s1
-							}
-							flush()
-							xb.ins = append(xb.ins, xinstr{
-								kind: xk, nsrc: 3, cost: d.cost + n.cost + t.cost, src: int32(ii),
-								pred: -1, dst: n.dst, s0: surv, imm: d.imm,
-								t0: t.t0, t1: t.t1,
-							})
-							ii += 2
-							continue
-						}
-					}
+			// Pair: const + binary ALU becomes one immediate-form micro.
+			if onL, onR := n.s0 == d.dst, n.s1 == d.dst; onL != onR {
+				side := 0
+				if onR {
+					side = 1
 				}
-				// Pair: const + binary ALU becomes one immediate-form micro.
-				if onL, onR := n.s0 == d.dst, n.s1 == d.dst; onL != onR {
-					side := 0
-					if onR {
-						side = 1
+				if mk, ok := immALU(n.op, side); ok {
+					imm := d.imm
+					if n.op == ir.OpSub {
+						imm = -imm
 					}
-					if mk, ok := immALU(n.op, side); ok {
-						imm := d.imm
-						if n.op == ir.OpSub {
-							imm = -imm
-						}
-						surv := n.s0
-						if onL {
-							surv = n.s1
-						}
-						push(micro{kind: mk, dst: n.dst, s0: surv, imm: imm}, ii, 2, d.cost+n.cost)
-						ii++
-						continue
+					surv := n.s0
+					if onL {
+						surv = n.s1
 					}
-				}
-				// Pair: const + mov collapses to a constant write of the mov
-				// target.
-				if n.op == ir.OpMov && n.s0 == d.dst {
-					push(micro{kind: uConst, dst: n.dst, imm: d.imm}, ii, 2, d.cost+n.cost)
+					push(micro{kind: mk, dst: n.dst, s0: surv, imm: imm}, ii, 2, d.cost+n.cost)
 					ii++
 					continue
 				}
+			}
+			// Pair: const + mov collapses to a constant write of the mov
+			// target.
+			if n.op == ir.OpMov && n.s0 == d.dst {
+				push(micro{kind: uConst, dst: n.dst, imm: d.imm}, ii, 2, d.cost+n.cost)
+				ii++
+				continue
 			}
 		}
 
@@ -576,36 +501,7 @@ func (m *Machine) translateBlock(c *code, bi int32, exact bool) *xblock {
 			continue
 		}
 
-		switch {
-		case d.op == ir.OpLoad && ii+1 < len(blk) && blk[ii+1].pred < 0:
-			n := &blk[ii+1]
-			// load+store fuses only when the store reads neither its address
-			// nor its value from the load's destination; then the store
-			// operands are identical before and after the load retires and
-			// the two refs can batch.
-			if batch && n.op == ir.OpStore && n.s0 != d.dst && n.s1 != d.dst {
-				flush()
-				xb.ins = append(xb.ins, xinstr{
-					kind: xLoadStore, nsrc: 2, cost: 0, src: int32(ii), pred: -1,
-					dst: d.dst, s0: d.s0, imm: d.imm, loadSlot: d.loadSlot,
-					s2: n.s0, s3: n.s1, imm2: n.imm,
-				})
-				ii++
-				continue
-			}
-			// load+hook is the instrumented-code signature: the profiled
-			// load immediately handing its address/value to strideProf.
-			if n.op == ir.OpHook {
-				flush()
-				xb.ins = append(xb.ins, xinstr{
-					kind: xLoadHook, nsrc: 2, cost: 0, src: int32(ii), pred: -1,
-					dst: d.dst, s0: d.s0, imm: d.imm, loadSlot: d.loadSlot,
-					hook: n.hook, args: n.args,
-				})
-				ii++
-				continue
-			}
-		case d.op == ir.OpBr && ng > 0:
+		if d.op == ir.OpBr && ng > 0 {
 			// Fold the branch into the pending ALU group: the group's last
 			// micro and the transfer dispatch as one.
 			x := xinstr{kind: xALUBr, nsrc: uint8(gsrc) + 1, nm: uint8(ng),

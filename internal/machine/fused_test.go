@@ -2,8 +2,10 @@ package machine
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
+	"stridepf/internal/cache"
 	"stridepf/internal/ir"
 )
 
@@ -92,52 +94,15 @@ func fusedSomewhere(m *Machine) bool {
 }
 
 // TestFusedMatchesReferenceKernels pins the fused translation against the
-// exact one on hand-built kernels covering the fusion rules:
-// compare+branch, load+store, ALU groups with folded branches, and the
-// constant-folding peepholes.
+// exact one on hand-built kernels covering the fusion rules (compare+branch,
+// ALU groups with folded branches, and the constant-folding peepholes)
+// between loads, stores, calls and hooks.
 func TestFusedMatchesReferenceKernels(t *testing.T) {
 	t.Run("throughput-shape", func(t *testing.T) {
 		// The BenchmarkMachineThroughput workload in miniature: exercises
-		// xLtBr, xLoadStore, xALU groups, xALUBr, the CmpEQ-immediate
-		// triple and the Sub/Mul/And const folds.
-		const nodes = 64
-		bl := ir.NewBuilder("main")
-		head := bl.Block("head")
-		body := bl.Block("body")
-		even := bl.Block("even")
-		odd := bl.Block("odd")
-		tail := bl.Block("tail")
-		exit := bl.Block("exit")
-		n := bl.Const(500)
-		i := bl.Const(0)
-		base := bl.Const(0x4000_0000)
-		p := bl.Const(0x4000_0000)
-		acc := bl.Const(0)
-		bl.Br(head)
-		bl.At(head)
-		bl.CondBr(bl.CmpLT(i, n), body, exit)
-		bl.At(body)
-		v := bl.Load(p, 0)
-		bl.Store(p, 8, acc)
-		bl.Mov(acc, bl.Add(acc, bl.Xor(v.Dst, i)))
-		parity := bl.And(i, bl.Const(1))
-		bl.CondBr(bl.CmpEQ(parity, bl.Const(0)), even, odd)
-		bl.At(even)
-		bl.Mov(acc, bl.Add(acc, bl.Const(3)))
-		bl.Br(tail)
-		bl.At(odd)
-		bl.Mov(acc, bl.Sub(acc, bl.Const(1)))
-		bl.Br(tail)
-		bl.At(tail)
-		bl.Mov(p, bl.Add(base, bl.Mul(bl.And(v.Dst, bl.Const(nodes-1)), bl.Const(64))))
-		bl.AddITo(i, i, 1)
-		bl.Br(head)
-		bl.At(exit)
-		bl.Ret(acc)
-		prog := ir.NewProgram()
-		prog.Add(bl.Finish())
-
-		ret, err := runBoth(t, prog, Config{}, nil)
+		// xLtBr, xEqBr on a const-fed compare, a load then a store, xALU
+		// groups, xALUBr and the Sub/Mul/And const folds.
+		ret, err := runBoth(t, throughputProgram(500, 64), Config{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,8 +140,8 @@ func TestFusedMatchesReferenceKernels(t *testing.T) {
 	})
 
 	t.Run("const-on-left-compare", func(t *testing.T) {
-		// CmpLT(const, x) with a single-use const folds with the relation
-		// reversed; both branch outcomes are taken.
+		// CmpLT(const, x) with a single-use const on the left of the
+		// compare+branch; both branch outcomes are taken.
 		for _, lim := range []int64{5, 50} {
 			bl := ir.NewBuilder("main")
 			lo := bl.Block("lo")
@@ -254,6 +219,82 @@ func TestFusedMatchesReferenceKernels(t *testing.T) {
 			t.Errorf("ret = %d, want 14", ret)
 		}
 	})
+}
+
+// TestFusedTranslationShape pins the fused translation as a function of
+// the program alone: a machine with a hardware prefetcher and one with a
+// lane of its own hierarchy translate each program exactly as a bare
+// machine does. In every translation each block's xinstrs cover its source
+// instructions in order, and each xinstr's cost is the sum of the fixed
+// costs of the instructions it covers.
+func TestFusedTranslationShape(t *testing.T) {
+	small := cache.ItaniumConfig()
+	small.MemLatency = 200
+	machines := []struct {
+		name string
+		opts []Option
+	}{
+		{"bare", nil},
+		{"hw-prefetcher", []Option{WithHWPrefetchFactory(func() HWPrefetcher { return nopPrefetcher{} })}},
+		{"own-hierarchy-lane", []Option{WithLanes(Lane{Hierarchy: small})}},
+	}
+	type shape struct {
+		kind xkind
+		nsrc uint8
+		cost uint32
+	}
+	for _, tc := range []struct {
+		name string
+		prog func() *ir.Program
+	}{
+		{"throughput-shape", func() *ir.Program { return throughputProgram(500, 64) }},
+		{"hooked-sum", func() *ir.Program { return hookedSumProgram(true) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want map[string][][]shape
+			for _, mc := range machines {
+				m, err := New(tc.prog(), mc.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (m.pf != nil) != (mc.name == "hw-prefetcher") || (m.fan != nil) != (mc.name == "own-hierarchy-lane") {
+					t.Fatalf("%s: prefetcher %v, own-hierarchy lanes %d", mc.name, m.pf, len(m.fan))
+				}
+				got := map[string][][]shape{}
+				for name, c := range m.codes {
+					m.translateCode(c)
+					for bi, xb := range c.xb {
+						blk := c.blocks[bi]
+						var shapes []shape
+						next := int32(0)
+						for _, x := range xb.ins {
+							if x.src != next {
+								t.Errorf("%s: %s block %d: xinstr at %d starts at %d", mc.name, name, bi, next, x.src)
+							}
+							next = x.src + int32(x.nsrc)
+							var cost uint64
+							for _, d := range blk[x.src:next] {
+								cost += OpCost(d.op)
+							}
+							if uint64(x.cost) != cost {
+								t.Errorf("%s: %s block %d: xinstr at %d costs %d, its instructions %d", mc.name, name, bi, x.src, x.cost, cost)
+							}
+							shapes = append(shapes, shape{x.kind, x.nsrc, x.cost})
+						}
+						if int(next) != len(blk) {
+							t.Errorf("%s: %s block %d: xinstrs cover %d of %d instructions", mc.name, name, bi, next, len(blk))
+						}
+						got[name] = append(got[name], shapes)
+					}
+				}
+				if want == nil {
+					want = got
+				} else if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s translates to %+v, bare machine to %+v", mc.name, got, want)
+				}
+			}
+		})
+	}
 }
 
 // TestFusedMaxStepsExact requires the fused translation to deliver
@@ -375,8 +416,8 @@ func TestRegisterMidRunNextRunContract(t *testing.T) {
 	}
 }
 
-// TestPairProfileCountsReferenceStream checks the profile pass that the
-// superinstruction set was selected from: pair counts come from the
+// TestPairProfileCountsReferenceStream checks the profile pass that
+// proposes superinstruction candidates: pair counts come from the
 // unfused instruction stream, the total matches the executed instruction
 // count, and the dominant pair of a compare-driven loop is compare+branch.
 func TestPairProfileCountsReferenceStream(t *testing.T) {

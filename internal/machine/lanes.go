@@ -32,8 +32,7 @@ import (
 // lane enter the block too, between the references around them. A replay
 // runs when the block fills, when a lane's hook reads the lane's clock and
 // when Run ends, however it ends; Lanes and FinishObs therefore see every
-// lane up to date. With such lanes attached the translator leaves loads
-// and stores unbatched. When no prefetch can ever be in flight — no
+// lane up to date. When no prefetch can ever be in flight — no
 // hardware prefetcher on the machine or the lane, no enabled OpPrefetch in
 // the program, no lane collector, and a hierarchy config equal to the
 // primary's — every demand latency is independent of time. The lane then

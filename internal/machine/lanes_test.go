@@ -14,10 +14,9 @@ import (
 	"stridepf/internal/obs"
 )
 
-// hookedSumProgram is sumProgram with a hook fed by every value load,
-// which the translator fuses into its load+hook superinstruction, and a
-// final unfused hook on the sum, both under hook ID 7; with prefetch set,
-// each iteration first prefetches four nodes ahead.
+// hookedSumProgram is sumProgram with a hook fed by every value load and a
+// final hook on the sum, both under hook ID 7; with prefetch set, each
+// iteration first prefetches four nodes ahead.
 func hookedSumProgram(prefetch bool) *ir.Program {
 	p := ir.NewProgram()
 	b := ir.NewBuilder("main")

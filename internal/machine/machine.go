@@ -98,8 +98,8 @@ type Config struct {
 	Interrupt <-chan struct{}
 	// PairProfile, when non-nil, records the dynamic frequency of adjacent
 	// opcode pairs executed within basic blocks. Pair profiling is the
-	// measurement pass that decides which superinstructions the fused
-	// translation should provide, so the run executes the exact translation
+	// measurement pass that proposes superinstruction candidates for the
+	// fused translation, so the run executes the exact translation
 	// (see cmd/interpbench -pairs). Its result is otherwise identical to an
 	// unprofiled run's, which makes it the differential checkers' reference.
 	PairProfile *PairProfile
@@ -266,11 +266,6 @@ type Machine struct {
 	// pollMark is the last Instrs>>16 epoch at which the step loop polled
 	// Interrupt.
 	pollMark uint64
-	// refBuf is the scratch reference batch the fused load+store
-	// superinstruction hands to cache.Hierarchy.Batch (reused to keep the
-	// hot path allocation-free; the machine is single-threaded and the
-	// buffer is consumed before any nested call can run).
-	refBuf [2]cache.Ref
 
 	cycles uint64
 	stats  Stats

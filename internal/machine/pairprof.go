@@ -18,12 +18,13 @@ type PairCount struct {
 }
 
 // PairProfile records the dynamic frequency of adjacent opcode pairs
-// executed within basic blocks. It is the measurement pass behind the fused
-// translation's superinstruction selection: run the workloads once with
-// WithPairProfile (which executes the exact translation), rank the pairs,
-// and the handlers in bbcache.go should cover the head of that ranking
-// (cmd/interpbench -pairs automates the sweep; DESIGN.md records the
-// measured distribution the current fusion set was chosen from).
+// executed within basic blocks. It is the measurement pass that proposes
+// superinstruction candidates for the fused translation: run the workloads
+// once with WithPairProfile (which executes the exact translation) and rank
+// the pairs (cmd/interpbench -pairs automates the sweep). A frequent pair
+// is only a candidate: a fusion rule belongs in bbcache.go when counting
+// the xinstrs the workloads' translations form and dispatch shows that
+// they form it (DESIGN.md §7 records both measurements).
 //
 // Pairs are intra-block only — a block's first instruction opens a fresh
 // chain — because superinstructions cannot fuse across a control transfer.

@@ -3,14 +3,13 @@ package machine
 import (
 	"fmt"
 
-	"stridepf/internal/cache"
 	"stridepf/internal/obs"
 )
 
 // stepFused is the machine's step loop: the function is translated on
 // first entry (bbcache.go) and then executes as pointer-linked blocks, with
-// the per-instruction overheads charged once per xinstr and the dominant
-// dynamic pairs running as superinstructions. Observers attach inside the
+// the per-instruction overheads charged once per xinstr and compare+branch
+// pairs running as superinstructions. Observers attach inside the
 // memory handlers: the hardware prefetcher's Observe after each demand
 // load, the record of the lane fan-out beside every hierarchy access (see
 // replay), and the obs collector and shadow models inside the hierarchy and
@@ -269,61 +268,6 @@ blocks:
 				}
 				continue blocks
 
-			case xEqBrI:
-				f := regs[x.s0] == x.imm
-				regs[x.dst] = b2i(f)
-				if f {
-					xb = x.xb0
-				} else {
-					xb = x.xb1
-				}
-				continue blocks
-			case xNeBrI:
-				f := regs[x.s0] != x.imm
-				regs[x.dst] = b2i(f)
-				if f {
-					xb = x.xb0
-				} else {
-					xb = x.xb1
-				}
-				continue blocks
-			case xLtBrI:
-				f := regs[x.s0] < x.imm
-				regs[x.dst] = b2i(f)
-				if f {
-					xb = x.xb0
-				} else {
-					xb = x.xb1
-				}
-				continue blocks
-			case xLeBrI:
-				f := regs[x.s0] <= x.imm
-				regs[x.dst] = b2i(f)
-				if f {
-					xb = x.xb0
-				} else {
-					xb = x.xb1
-				}
-				continue blocks
-			case xGtBrI:
-				f := regs[x.s0] > x.imm
-				regs[x.dst] = b2i(f)
-				if f {
-					xb = x.xb0
-				} else {
-					xb = x.xb1
-				}
-				continue blocks
-			case xGeBrI:
-				f := regs[x.s0] >= x.imm
-				regs[x.dst] = b2i(f)
-				if f {
-					xb = x.xb0
-				} else {
-					xb = x.xb1
-				}
-				continue blocks
-
 			case xBr:
 				xb = x.xb0
 				continue blocks
@@ -397,45 +341,6 @@ blocks:
 						m.record(laneRec{kind: recPrefetch, class: x.pfClass, addr: addr, now: cycles})
 					}
 				}
-
-			case xLoadStore:
-				// The fusion rule guarantees the store operands (s2, s3) do
-				// not read the load destination, so both addresses and the
-				// stored value are computable up front; the batch interleaves
-				// the two fixed costs with the accesses exactly as separate
-				// xLoad and xStore would charge them.
-				la := uint64(regs[x.s0] + x.imm)
-				sa := uint64(regs[x.s2] + x.imm2)
-				sv := regs[x.s3]
-				m.refBuf[0] = cache.Ref{Kind: cache.RefLoad, Addr: la, Cost: 1}
-				m.refBuf[1] = cache.Ref{Kind: cache.RefStore, Addr: sa, Cost: 1}
-				cycles += m.Hier.Batch(m.refBuf[:], cycles)
-				regs[x.dst] = m.Mem.LoadStore(la, sa, sv)
-				m.stats.LoadRefs++
-				m.stats.StoreRefs++
-				c.loadCount[x.loadSlot]++
-
-			case xLoadHook:
-				addr := uint64(regs[x.s0] + x.imm)
-				cycles++ // load slot
-				lat := uint64(m.Hier.Load(addr, cycles))
-				if m.fan != nil {
-					m.record(laneRec{kind: recLoad, pc: c.loadPCs[x.loadSlot], addr: addr, now: cycles, lat: lat})
-				}
-				cycles += lat
-				regs[x.dst] = m.Mem.Load(addr)
-				m.stats.LoadRefs++
-				c.loadCount[x.loadSlot]++
-				if m.pf != nil {
-					m.pf.Observe(c.loadPCs[x.loadSlot], addr, m.Hier, cycles)
-				}
-				cycles++ // hook slot, charged before the hook runs
-				m.stats.Instrs, m.cycles = instrs, cycles
-				argv := m.argValues(regs, x.args)
-				m.stats.HookCalls++
-				x.hook(m, argv)
-				m.releaseArgs(argv)
-				instrs, cycles = m.stats.Instrs, m.cycles
 
 			case xHook:
 				if x.pred >= 0 && regs[x.pred] == 0 {

@@ -167,38 +167,6 @@ func (m *Memory) Store(addr uint64, v int64) {
 	}
 }
 
-// LoadStore performs a load from laddr followed by a store of v to saddr,
-// returning the loaded value. It is observably identical to Load(laddr)
-// then Store(saddr, v) — including when the addresses alias: the load sees
-// the pre-store word — but resolves the page table only once when both
-// addresses land on the same page, which the interpreter's fused
-// load+store superinstruction exploits.
-func (m *Memory) LoadStore(laddr, saddr uint64, v int64) int64 {
-	lk := laddr >> pageShift
-	if sk := saddr >> pageShift; lk == sk {
-		p := m.lastPage
-		if p == nil || m.lastKey != lk {
-			// The store maps the page either way; the load then reads a
-			// zero word from a freshly mapped page, exactly what Load
-			// returns for unmapped memory.
-			p = m.mapPage(lk)
-			m.lastKey, m.lastPage = lk, p
-		}
-		rv := p[(laddr&pageMask)>>3]
-		if m.shadow != nil {
-			m.shadow.checkLoad(laddr, rv)
-		}
-		p[(saddr&pageMask)>>3] = v
-		if m.shadow != nil {
-			m.shadow.checkStore(saddr, v)
-		}
-		return rv
-	}
-	rv := m.Load(laddr)
-	m.Store(saddr, v)
-	return rv
-}
-
 // Mapped reports whether the page containing addr has been touched. The
 // machine uses this to ignore prefetches of wild addresses (prefetches are
 // non-faulting).

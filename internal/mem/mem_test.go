@@ -115,72 +115,11 @@ func TestHeapTryAllocRefuses(t *testing.T) {
 	}
 }
 
-// TestFusedLoadStoreEquivalence pins Memory.LoadStore against Load-then-
-// Store on a twin memory across the interesting address relations:
-// same page, different pages, exact aliasing, partial-word aliasing, and
-// unmapped pages (the load must still read zero while the store maps).
-func TestFusedLoadStoreEquivalence(t *testing.T) {
-	cases := []struct {
-		name         string
-		laddr, saddr uint64
-	}{
-		{"same-page", 0x4000_0000, 0x4000_0008},
-		{"cross-page", 0x4000_0000, 0x5000_0000},
-		{"alias-exact", 0x4000_0100, 0x4000_0100},
-		{"alias-word", 0x4000_0104, 0x4000_0101},
-		{"unmapped-same-page", 0x6000_0000, 0x6000_0040},
-		{"unmapped-cross-page", 0x6000_0000, 0x7000_0000},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			seed := func() *Memory {
-				m := NewMemory()
-				m.Store(0x4000_0000, 111)
-				m.Store(0x4000_0008, 222)
-				m.Store(0x4000_0100, 333)
-				m.Store(0x5000_0000, 444)
-				return m
-			}
-			a, b := seed(), seed()
-			rv := a.LoadStore(tc.laddr, tc.saddr, 999)
-			want := b.Load(tc.laddr)
-			b.Store(tc.saddr, 999)
-			if rv != want {
-				t.Errorf("LoadStore returned %d, Load-then-Store loads %d (load must see the pre-store word)", rv, want)
-			}
-			if af, bf := a.Fingerprint(), b.Fingerprint(); af != bf {
-				t.Errorf("memory images diverge: LoadStore=%#x sequential=%#x", af, bf)
-			}
-			if ap, bp := a.Pages(), b.Pages(); ap != bp {
-				t.Errorf("mapped pages diverge: LoadStore=%d sequential=%d", ap, bp)
-			}
-		})
-	}
-}
-
-// TestFusedLoadStoreSelfCheck runs LoadStore under the shadow model, which
-// replays every access against a naive map: the fused form must present the
-// same load-then-store event order the shadow expects.
-func TestFusedLoadStoreSelfCheck(t *testing.T) {
-	m := NewMemory()
-	m.EnableSelfCheck()
-	m.Store(0x4000_0000, 7)
-	if got := m.LoadStore(0x4000_0000, 0x4000_0008, 8); got != 7 {
-		t.Errorf("LoadStore = %d, want 7", got)
-	}
-	if got := m.LoadStore(0x4000_0008, 0x4000_0008, 9); got != 8 {
-		t.Errorf("aliasing LoadStore = %d, want 8 (pre-store word)", got)
-	}
-	if got := m.LoadStore(0x9000_0000, 0x9000_0000, 1); got != 0 {
-		t.Errorf("unmapped LoadStore = %d, want 0", got)
-	}
-}
-
 // TestRadixPageTableBoundaries stores and loads at page 0, on each side of
 // every radix-level boundary of the page number, and at the top of the
 // address space, all under the shadow model. It checks Load, Mapped, Pages
-// and the address-ordered Fingerprint walk, LoadStore within one page and
-// across each boundary, and that write order does not change the
+// and the address-ordered Fingerprint walk, a load then a store within one
+// page and across each boundary, and that write order does not change the
 // fingerprint.
 func TestRadixPageTableBoundaries(t *testing.T) {
 	var keys []uint64 // page numbers
@@ -241,25 +180,28 @@ func TestRadixPageTableBoundaries(t *testing.T) {
 		}
 	}
 
-	// LoadStore on one page, and across each boundary (last word of the
-	// lower page to the first word of the upper one), then back.
+	// A load then a store on one page, and across each boundary (last word
+	// of the lower page to the first word of the upper one), then back.
 	before := a.Fingerprint()
 	for i := 0; i+3 < len(addrs); i += 4 {
 		lastLow, firstHigh := addrs[i+1], addrs[i+2]
-		if got := a.LoadStore(addrs[i], addrs[i]+8, 77); got != int64(i+1) {
-			t.Errorf("same-page LoadStore(%#x) = %d, want %d", addrs[i], got, i+1)
+		if got := a.Load(addrs[i]); got != int64(i+1) {
+			t.Errorf("same-page Load(%#x) = %d, want %d", addrs[i], got, i+1)
 		}
-		if got := a.LoadStore(lastLow, firstHigh, 88); got != int64(i+2) {
-			t.Errorf("cross-page LoadStore(%#x, %#x) = %d, want %d", lastLow, firstHigh, got, i+2)
+		a.Store(addrs[i]+8, 77)
+		if got := a.Load(lastLow); got != int64(i+2) {
+			t.Errorf("cross-page Load(%#x) = %d, want %d", lastLow, got, i+2)
 		}
-		if got := a.LoadStore(firstHigh, lastLow, 99); got != 88 {
-			t.Errorf("cross-page LoadStore(%#x, %#x) = %d, want 88", firstHigh, lastLow, got)
+		a.Store(firstHigh, 88)
+		if got := a.Load(firstHigh); got != 88 {
+			t.Errorf("cross-page Load(%#x) = %d, want 88", firstHigh, got)
 		}
+		a.Store(lastLow, 99)
 	}
 	if a.Pages() != len(keys) {
-		t.Errorf("LoadStore on mapped pages changed Pages to %d", a.Pages())
+		t.Errorf("loads and stores on mapped pages changed Pages to %d", a.Pages())
 	}
 	if a.Fingerprint() == before {
-		t.Error("fingerprint did not change after LoadStore writes")
+		t.Error("fingerprint did not change after the stores")
 	}
 }

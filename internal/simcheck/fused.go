@@ -21,7 +21,7 @@ func exactTranslation() machine.Option { return machine.WithPairProfile(machine.
 // CheckFusedDifferential generates a program from (seed, cfg) and executes
 // it through the machine's fused translation and through its exact
 // translation (selected with WithPairProfile). The fused translation —
-// superinstruction fusion, constant folding, batched cache refs — must be
+// compare+branch fusion, ALU groups, constant folding — must be
 // observably identical: same result, same statistics (including exact
 // instruction and cycle counts), same final memory image, same per-load
 // reference counts.
@@ -35,13 +35,13 @@ func exactTranslation() machine.Option { return machine.WithPairProfile(machine.
 //   - under a seed-drawn MaxSteps below the program's instruction count:
 //     both sides must stop with ErrMaxSteps on the same instruction, with
 //     the same statistics and memory image;
-//   - on the NaiveAll-instrumented program, where the load+hook
-//     superinstruction and the profiling runtime's counter traffic
-//     dominate; the collected stride profiles must match record for record.
+//   - on the NaiveAll-instrumented program, where hook calls and the
+//     profiling runtime's counter traffic dominate; the collected stride
+//     profiles must match record for record.
 //
 // Generated programs never place a store right after a load, so the clean,
 // observed and budget comparisons also run on a seed-drawn load+store walk
-// (loadStoreWalk), the shape the fused translation batches.
+// (loadStoreWalk), which does.
 func CheckFusedDifferential(seed uint64, cfg irgen.Config) error {
 	prog := irgen.Generate(seed, cfg)
 	if err := fusedMatchesExact("generated", prog, seed); err != nil {

@@ -16,9 +16,6 @@ import (
 //     Config.Disabled observes the full demand-load stream and advances
 //     its state machines but issues nothing; the run must be bit-identical
 //     to the baseline in every respect *including the cycle count*.
-//     (An attached prefetcher also stops the translator from batching
-//     load+store pairs; generated programs have none, so
-//     CheckFusedDifferential's load+store walk pins that instead.)
 //  2. Architecturally invisible when enabled: with the scheme actually
 //     issuing prefetches, only cycle counts may change — results, final
 //     memory image, instruction counts and per-load reference counts must
