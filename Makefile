@@ -67,11 +67,11 @@ race-full:
 # Byte-identity gate: the paper figures (also with the rpt hardware
 # prefetcher, the one figure job whose hooked lanes keep hierarchies of
 # their own), the prefetcher arena and the Ball-Larus path table over
-# every workload (the one figure job whose translations dispatch an
-# equality compare+branch), all computed in parallel, must equal their
-# committed outputs. The arena golden belongs to the end-to-end benchmark
-# and is only read here; the same arena run also writes its per-cell obs
-# counters, which must equal the metrics golden.
+# every workload (the one figure job whose translations dispatch a
+# compare+branch on the equality truth table), all computed in parallel,
+# must equal their committed outputs. The arena golden belongs to the
+# end-to-end benchmark and is only read here; the same arena run also
+# writes its per-cell obs counters, which must equal the metrics golden.
 golden:
 	$(GO) run ./cmd/experiments -figure all -j 2 | cmp - figures_output.txt
 	$(GO) run ./cmd/experiments -figure all -j 2 -hwpf rpt | cmp - internal/experiments/testdata/figures_hwpf_rpt.golden

@@ -17,6 +17,10 @@
 // new results are diffed per benchmark against a previous report and the
 // command exits nonzero when any benchmark's ns/op regresses by more than
 // 10% — the Makefile bench target runs this against the committed baseline.
+// Each report records calib_s, the time of a fixed integer loop taken
+// before and after the benchmarks; when both reports carry it, -compare
+// divides each side's ns/op by its own calib_s, so a host that has slowed
+// down since the baseline was taken does not read as a regression.
 //
 // With -pairs the command skips benchmarking and instead runs the dynamic
 // instruction-pair profile pass over the paper workloads (clean and
@@ -55,14 +59,16 @@ type Result struct {
 // Report is the JSON document written to -o and the JSONL record appended
 // to -history.
 type Report struct {
-	Date      string   `json:"date"`
-	GoVersion string   `json:"go_version"`
-	GOOS      string   `json:"goos"`
-	GOARCH    string   `json:"goarch"`
-	CPU       string   `json:"cpu,omitempty"`
-	Package   string   `json:"package"`
-	Command   string   `json:"command"`
-	Results   []Result `json:"results"`
+	Date      string `json:"date"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	CPU       string `json:"cpu,omitempty"`
+	Package   string `json:"package"`
+	Command   string `json:"command"`
+	// CalibS is the mean time of calibrate before and after the benchmarks.
+	CalibS  float64  `json:"calib_s,omitempty"`
+	Results []Result `json:"results"`
 }
 
 // regressionLimit is the relative ns/op increase -compare tolerates before
@@ -91,10 +97,12 @@ func main() {
 	args := []string{"test", "-run", "^$", "-bench", *benchFlag, "-benchtime", *timeFlag, *pkgFlag}
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
+	calBefore := calibrate()
 	out, err := cmd.Output()
 	if err != nil {
 		fatal(fmt.Errorf("go %s: %w", strings.Join(args, " "), err))
 	}
+	calAfter := calibrate()
 
 	rep := Report{
 		Date:      time.Now().UTC().Format("2006-01-02T15:04:05Z"),
@@ -103,6 +111,7 @@ func main() {
 		GOARCH:    runtime.GOARCH,
 		Package:   *pkgFlag,
 		Command:   "go " + strings.Join(args, " "),
+		CalibS:    (calBefore + calAfter) / 2,
 	}
 	sc := bufio.NewScanner(bytes.NewReader(out))
 	for sc.Scan() {
@@ -168,10 +177,31 @@ func appendHistory(path string, rep *Report) error {
 	return nil
 }
 
+// calSink keeps calibrate's result alive.
+var calSink uint64
+
+// calibrate times a fixed integer loop that shares no code with the
+// interpreter. It is a copy of e2ebench's calibrate (e2ebench/run.go, in a
+// module of its own), which slows with the host: ns/op divided by its time
+// keeps more of the benchmark's own cost and less of the host's drift.
+func calibrate() float64 {
+	t0 := time.Now()
+	x, acc := uint64(88172645463325252), uint64(0)
+	for i := 0; i < 40_000_000; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		acc += x % 7
+	}
+	calSink += acc
+	return time.Since(t0).Seconds()
+}
+
 // compareReports prints per-benchmark deltas between the old report at path
 // and the new one, and reports whether any benchmark regressed by more than
-// regressionLimit in ns/op. Benchmarks present on only one side are noted
-// but never fail the comparison.
+// regressionLimit in ns/op. When both reports carry calib_s, each side's
+// ns/op is divided by its own calib_s first. Benchmarks present on only one
+// side are noted but never fail the comparison.
 func compareReports(w *os.File, path string, cur *Report) (regressed bool, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -186,6 +216,12 @@ func compareReports(w *os.File, path string, cur *Report) (regressed bool, err e
 		olds[r.Name] = r
 	}
 	fmt.Fprintf(w, "interpbench: comparing against %s (%s)\n", path, old.Date)
+	// scale converts the new ns/op to the baseline host's speed.
+	scale := 1.0
+	if old.CalibS > 0 && cur.CalibS > 0 {
+		scale = old.CalibS / cur.CalibS
+		fmt.Fprintf(w, "interpbench: deltas divide ns/op by calib_s (%.3f s then, %.3f s now)\n", old.CalibS, cur.CalibS)
+	}
 	for _, r := range cur.Results {
 		o, ok := olds[r.Name]
 		if !ok {
@@ -195,7 +231,7 @@ func compareReports(w *os.File, path string, cur *Report) (regressed bool, err e
 		delete(olds, r.Name)
 		delta := 0.0
 		if o.NsPerOp > 0 {
-			delta = (r.NsPerOp - o.NsPerOp) / o.NsPerOp
+			delta = (r.NsPerOp*scale - o.NsPerOp) / o.NsPerOp
 		}
 		verdict := ""
 		if delta > regressionLimit {

@@ -9,13 +9,15 @@
 //   - the per-instruction overheads (instruction count, budget check,
 //     predicate test, cost charge, dispatch switch) are hoisted to once per
 //     xinstr, and an xinstr can cover many source instructions (a full micro
-//     group plus its folded constants and trailing branch);
+//     group plus its folded constants and the block's branch);
 //   - a compare feeding the conditional branch on its result dispatches as
 //     one compare+branch superinstruction (see DESIGN.md for the measured
 //     pair and xinstr counts behind this rule);
-//   - remaining straight-line ALU runs execute as micro groups whose
+//   - the remaining straight-line ALU runs execute as micro groups whose
 //     members skip everything but the operation itself, with single-use
-//     constants folded into their consumers' immediate operands.
+//     constants folded into their consumers' immediate operands. A block's
+//     branch ends its group, so a group and the transfer dispatch as one
+//     xinstr; a branch with no ALU work before it is a group of zero micros.
 //
 // The fusion rules only merge instruction sequences with no observation
 // point (hierarchy access, hook call, nested call) between the merged
@@ -32,7 +34,7 @@ package machine
 import "stridepf/internal/ir"
 
 // uKind enumerates micro operations: the ALU subset of the ISA, executed
-// inside xALU/xALUBr groups without per-instruction dispatch overhead.
+// inside xALU groups without per-instruction dispatch overhead.
 type uKind uint8
 
 const (
@@ -58,12 +60,8 @@ const (
 	uMulI
 	uOrI
 	uXorI
-	uCmpEQ
-	uCmpNE
-	uCmpLT
-	uCmpLE
-	uCmpGT
-	uCmpGE
+	// uCmp is every compare; its imm is the opcode's truth table (cmpMasks).
+	uCmp
 )
 
 // micro is one pre-resolved ALU operation within a group.
@@ -79,21 +77,14 @@ type xkind uint8
 
 const (
 	// xALU executes up to groupMax micros (predicated only when nm==1).
+	// When t0 >= 0 the group ends its block with the block's branch: to t0,
+	// or, when t1 >= 0 too, to t0 if register s0 is nonzero and t1 if not.
 	xALU xkind = iota
-	// xALUBr is xALU with a folded trailing unconditional branch to t0.
-	xALUBr
-	// xEqBr..xGeBr fuse a compare with the conditional branch consuming its
-	// result: the flag is still written to dst (later blocks may read it),
-	// then control transfers to t0 (true) or t1 (false).
-	xEqBr
-	xNeBr
-	xLtBr
-	xLeBr
-	xGtBr
-	xGeBr
-	// xBr / xCondBr / xRet are the unfused terminators.
-	xBr
-	xCondBr
+	// xCmpBr fuses a compare (truth table imm, see cmpMasks) with the
+	// conditional branch consuming its result: the flag is still written to
+	// dst (later blocks may read it), then control transfers to t0 (true) or
+	// t1 (false).
+	xCmpBr
 	xRet
 	// xLoad / xSpecLoad / xStore / xPrefetch are unfused memory operations.
 	xLoad
@@ -124,7 +115,7 @@ const groupMax = 6
 type xinstr struct {
 	kind    xkind
 	nsrc    uint8
-	nm      uint8 // live micros in mi (xALU/xALUBr)
+	nm      uint8 // live micros in mi (xALU)
 	pfClass uint8
 	cost    uint32
 	// src is the block index of the first source instruction covered; the
@@ -133,7 +124,7 @@ type xinstr struct {
 	src      int32
 	dst      int32
 	s0, s1   int32
-	pred     int32 // qualifying predicate register, or -1 (singletons only)
+	pred     int32 // qualifying predicate register, or -1 (never on groups or branches)
 	t0, t1   int32
 	loadSlot int32
 	imm      int64
@@ -141,8 +132,8 @@ type xinstr struct {
 	hook     HookFunc
 	callee   *code
 	args     []int32
-	// xb0/xb1 are the terminator's successor translations, linked once every
-	// block of the function is translated, so taken branches jump
+	// xb0/xb1 are the translations of branch targets t0/t1, linked once
+	// every block of the function is translated, so taken branches jump
 	// pointer-to-pointer without re-indexing code.xb.
 	xb0, xb1 *xblock
 }
@@ -194,39 +185,31 @@ func aluKind(op ir.Opcode) (uKind, bool) {
 		return uShrI, true
 	case ir.OpAndI:
 		return uAndI, true
-	case ir.OpCmpEQ:
-		return uCmpEQ, true
-	case ir.OpCmpNE:
-		return uCmpNE, true
-	case ir.OpCmpLT:
-		return uCmpLT, true
-	case ir.OpCmpLE:
-		return uCmpLE, true
-	case ir.OpCmpGT:
-		return uCmpGT, true
-	case ir.OpCmpGE:
-		return uCmpGE, true
+	case ir.OpCmpEQ, ir.OpCmpNE, ir.OpCmpLT, ir.OpCmpLE, ir.OpCmpGT, ir.OpCmpGE:
+		return uCmp, true
 	}
 	return 0, false
 }
 
-// cmpBrKind maps a compare micro kind to its fused compare+branch handler.
-func cmpBrKind(u uKind) (xkind, bool) {
-	switch u {
-	case uCmpEQ:
-		return xEqBr, true
-	case uCmpNE:
-		return xNeBr, true
-	case uCmpLT:
-		return xLtBr, true
-	case uCmpLE:
-		return xLeBr, true
-	case uCmpGT:
-		return xGtBr, true
-	case uCmpGE:
-		return xGeBr, true
-	}
-	return 0, false
+// cmpMasks holds each compare opcode's truth table over its operands'
+// ordering: bit 0 is the result when a < b, bit 1 when a == b, bit 2 when
+// a > b. Decoding stores it as the compare's immediate, so uCmp and xCmpBr
+// evaluate all six compares with cmp.
+var cmpMasks = map[ir.Opcode]int64{
+	ir.OpCmpEQ: 0b010,
+	ir.OpCmpNE: 0b101,
+	ir.OpCmpLT: 0b001,
+	ir.OpCmpLE: 0b011,
+	ir.OpCmpGT: 0b100,
+	ir.OpCmpGE: 0b110,
+}
+
+// cmp evaluates the compare with truth table mask (see cmpMasks) on a and
+// b: bit b2i(a >= b) + b2i(a > b) of mask. Masking the bit index with 63
+// lets the compiler drop its shift-range check and read the bit with one
+// bit test.
+func cmp(mask, a, b int64) bool {
+	return mask&(1<<((b2i(a >= b)+b2i(a > b))&63)) != 0
 }
 
 // immALU maps a binary ALU opcode with one constant operand to its
@@ -303,7 +286,7 @@ func countReads(c *code) []int32 {
 	return counts
 }
 
-// translateCode translates every block of c and links the terminators'
+// translateCode translates every block of c and links the branches'
 // successor pointers. Translation is eager — the whole function on first
 // entry — so a taken branch never has to ask whether its target is
 // translated yet. Traced and pair-profiled runs use the exact translation
@@ -322,15 +305,15 @@ func (m *Machine) translateCode(c *code) {
 	}
 }
 
-// link points xb's terminator at its successors' translations in c.xb.
+// link points xb's branches at their successors' translations in c.xb.
 func (c *code) link(xb *xblock) {
 	for i := range xb.ins {
 		x := &xb.ins[i]
-		switch x.kind {
-		case xALUBr, xBr:
+		if (x.kind == xALU || x.kind == xCmpBr) && x.t0 >= 0 {
 			x.xb0 = c.xb[x.t0]
-		case xEqBr, xNeBr, xLtBr, xLeBr, xGtBr, xGeBr, xCondBr:
-			x.xb0, x.xb1 = c.xb[x.t0], c.xb[x.t1]
+			if x.t1 >= 0 {
+				x.xb1 = c.xb[x.t1]
+			}
 		}
 	}
 }
@@ -374,10 +357,9 @@ func singleton(d *decoded, ii int) xinstr {
 		x.kind = xHook
 	case ir.OpCall:
 		x.kind = xCall
-	case ir.OpBr:
-		x.kind = xBr
-	case ir.OpCondBr:
-		x.kind = xCondBr
+	case ir.OpBr, ir.OpCondBr:
+		// A branch on its own is a group of zero micros ending its block.
+		x.kind = xALU
 	case ir.OpRet:
 		x.kind = xRet
 	}
@@ -396,32 +378,28 @@ func (m *Machine) translateBlock(c *code, bi int32, exact bool) *xblock {
 	// xTrace ahead of it.
 	observe := exact && (m.cfg.Trace != nil || m.pairs != nil)
 
-	var g [groupMax]micro
-	ng := 0     // micros pending in g
-	gsrc := 0   // source instructions those micros cover (folds cover two)
-	gstart := 0 // block index of the group's first source instruction
-	gcost := uint32(0)
+	// g is the pending micro group; its nsrc counts the source
+	// instructions its micros cover (folds cover two).
+	empty := xinstr{kind: xALU, pred: -1, t0: -1, t1: -1}
+	g := empty
 	flush := func() {
-		if ng == 0 {
-			return
+		if g.nsrc > 0 {
+			xb.ins = append(xb.ins, g)
+			g = empty
 		}
-		x := xinstr{kind: xALU, nsrc: uint8(gsrc), nm: uint8(ng), cost: gcost, src: int32(gstart), pred: -1}
-		copy(x.mi[:], g[:ng])
-		xb.ins = append(xb.ins, x)
-		ng, gsrc, gcost = 0, 0, 0
 	}
 	// push appends a micro covering n source instructions from ii on.
 	push := func(u micro, ii, n int, cost uint32) {
-		if ng == groupMax {
+		if g.nm == groupMax {
 			flush()
 		}
-		if ng == 0 {
-			gstart = ii
+		if g.nsrc == 0 {
+			g.src = int32(ii)
 		}
-		g[ng] = u
-		ng++
-		gsrc += n
-		gcost += cost
+		g.mi[g.nm] = u
+		g.nm++
+		g.nsrc += uint8(n)
+		g.cost += cost
 	}
 
 	for ii := 0; ii < len(blk); ii++ {
@@ -483,32 +461,32 @@ func (m *Machine) translateBlock(c *code, bi int32, exact bool) *xblock {
 
 		if uk, ok := aluKind(d.op); ok {
 			// Compare feeding the immediately following conditional branch on
-			// its own result fuses into a dedicated handler — by far the
+			// its own result fuses into a superinstruction — by far the
 			// hottest dynamic pair (see DESIGN.md).
-			if xk, isCmp := cmpBrKind(uk); isCmp && ii+1 < len(blk) {
-				n := &blk[ii+1]
-				if n.op == ir.OpCondBr && n.pred < 0 && n.s0 == d.dst {
-					flush()
-					xb.ins = append(xb.ins, xinstr{
-						kind: xk, nsrc: 2, cost: d.cost + n.cost, src: int32(ii), pred: -1,
-						dst: d.dst, s0: d.s0, s1: d.s1, t0: n.t0, t1: n.t1,
-					})
-					ii++
-					continue
-				}
+			if n := ii + 1; uk == uCmp && n < len(blk) && blk[n].op == ir.OpCondBr && blk[n].s0 == d.dst {
+				flush()
+				xb.ins = append(xb.ins, xinstr{
+					kind: xCmpBr, nsrc: 2, cost: d.cost + blk[n].cost, src: int32(ii), pred: -1,
+					dst: d.dst, s0: d.s0, s1: d.s1, imm: d.imm, t0: blk[n].t0, t1: blk[n].t1,
+				})
+				ii++
+				continue
 			}
 			push(micro{kind: uk, dst: d.dst, s0: d.s0, s1: d.s1, imm: d.imm}, ii, 1, d.cost)
 			continue
 		}
 
-		if d.op == ir.OpBr && ng > 0 {
-			// Fold the branch into the pending ALU group: the group's last
-			// micro and the transfer dispatch as one.
-			x := xinstr{kind: xALUBr, nsrc: uint8(gsrc) + 1, nm: uint8(ng),
-				cost: gcost + d.cost, src: int32(gstart), pred: -1, t0: d.t0}
-			copy(x.mi[:], g[:ng])
-			xb.ins = append(xb.ins, x)
-			ng, gsrc, gcost = 0, 0, 0
+		if d.op == ir.OpBr || d.op == ir.OpCondBr {
+			// The block's branch ends the pending group, of zero micros when
+			// no ALU work precedes it: the micros and the transfer dispatch
+			// as one.
+			if g.nsrc == 0 {
+				g.src = int32(ii)
+			}
+			g.nsrc++
+			g.cost += d.cost
+			g.s0, g.t0, g.t1 = d.s0, d.t0, d.t1
+			flush()
 			continue
 		}
 		flush()

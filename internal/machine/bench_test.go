@@ -10,7 +10,7 @@ import (
 )
 
 // BenchmarkInterpreterALU measures raw interpretation speed on an
-// arithmetic loop (instructions per b.N iteration: ~6).
+// arithmetic loop (instructions per b.N iteration: 7).
 func BenchmarkInterpreterALU(b *testing.B) {
 	bl := ir.NewBuilder("main")
 	head := bl.Block("head")

@@ -2,7 +2,10 @@ package machine
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"stridepf/internal/cache"
@@ -95,13 +98,14 @@ func fusedSomewhere(m *Machine) bool {
 
 // TestFusedMatchesReferenceKernels pins the fused translation against the
 // exact one on hand-built kernels covering the fusion rules (compare+branch,
-// ALU groups with folded branches, and the constant-folding peepholes)
-// between loads, stores, calls and hooks.
+// ALU groups ending in their block's branch, and the constant-folding
+// peepholes) between loads, stores, calls and hooks.
 func TestFusedMatchesReferenceKernels(t *testing.T) {
 	t.Run("throughput-shape", func(t *testing.T) {
 		// The BenchmarkMachineThroughput workload in miniature: exercises
-		// xLtBr, xEqBr on a const-fed compare, a load then a store, xALU
-		// groups, xALUBr and the Sub/Mul/And const folds.
+		// xCmpBr on a less-than and on an equality with a const-fed
+		// operand, a load then a store, xALU groups ending in a branch and
+		// the Sub/Mul/And const folds.
 		ret, err := runBoth(t, throughputProgram(500, 64), Config{}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -190,6 +194,39 @@ func TestFusedMatchesReferenceKernels(t *testing.T) {
 		}
 	})
 
+	t.Run("branch-shapes", func(t *testing.T) {
+		// branchShapesProgram's conditional branch ends a non-compare ALU
+		// run and its jump block is only a branch; no workload forms either.
+		ret, err := runBoth(t, branchShapesProgram(), Config{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want int64
+		for i := int64(0); ; i++ {
+			f := i < 50
+			want += want ^ i
+			if !f {
+				break
+			}
+		}
+		if ret != want {
+			t.Errorf("ret = %d, want %d", ret, want)
+		}
+		m, err := New(branchShapesProgram())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := m.codes["main"]
+		m.translateCode(c)
+		head, jump := c.xb[1].ins, c.xb[2].ins
+		if x := head[len(head)-1]; x.kind != xALU || x.nm == 0 || x.t1 < 0 {
+			t.Errorf("head ends in %+v, want a conditional branch ending an ALU group", x)
+		}
+		if len(jump) != 1 || jump[0].kind != xALU || jump[0].nm != 0 || jump[0].t0 != 1 {
+			t.Errorf("jump block translates to %+v, want one branch of zero micros", jump)
+		}
+	})
+
 	t.Run("calls-and-hooks", func(t *testing.T) {
 		// Nested calls and hooks flush/reload the fused loop's local
 		// counters; a hook that charges cycles must land exactly.
@@ -221,12 +258,119 @@ func TestFusedMatchesReferenceKernels(t *testing.T) {
 	})
 }
 
+// TestCompareSemantics pins each compare's truth table (cmpMasks) against
+// Go's own operator on every operand pair drawn from MinInt64, -1, 0, 1 and
+// MaxInt64, in both places a compare runs: feeding the conditional branch
+// on its result (xCmpBr in the fused translation), and inside an ALU group
+// whose next micro reads the flag (uCmp). Each shape runs on the fused
+// translation and on the exact one. The two share the truth tables, so the
+// fused-vs-exact differential cannot catch a wrong bit; this test can.
+func TestCompareSemantics(t *testing.T) {
+	vals := []int64{math.MinInt64, -1, 0, 1, math.MaxInt64}
+	ops := []struct {
+		name string
+		cmp  func(*ir.Builder, ir.Reg, ir.Reg) ir.Reg
+		want func(a, b int64) bool
+	}{
+		{"cmpeq", (*ir.Builder).CmpEQ, func(a, b int64) bool { return a == b }},
+		{"cmpne", (*ir.Builder).CmpNE, func(a, b int64) bool { return a != b }},
+		{"cmplt", (*ir.Builder).CmpLT, func(a, b int64) bool { return a < b }},
+		{"cmple", (*ir.Builder).CmpLE, func(a, b int64) bool { return a <= b }},
+		{"cmpgt", (*ir.Builder).CmpGT, func(a, b int64) bool { return a > b }},
+		{"cmpge", (*ir.Builder).CmpGE, func(a, b int64) bool { return a >= b }},
+	}
+	shapes := []struct {
+		name string
+		// build emits what follows the compare whose flag is f; the program
+		// must return ret(flag) for the flag Go's operator gives (the
+		// branch returns flag+10 when taken, flag+20 when not).
+		build func(bl *ir.Builder, f ir.Reg)
+		ret   func(flag int64) int64
+		// formed reports whether x is where the fused translation put the
+		// compare.
+		formed func(x xinstr) bool
+	}{
+		{"branch", func(bl *ir.Builder, f ir.Reg) {
+			yes, no := bl.Block("yes"), bl.Block("no")
+			bl.CondBr(f, yes, no)
+			bl.At(yes)
+			bl.Ret(bl.AddI(f, 10))
+			bl.At(no)
+			bl.Ret(bl.AddI(f, 20))
+		}, func(flag int64) int64 { return 20 - 9*flag }, func(x xinstr) bool { return x.kind == xCmpBr }},
+		{"group", func(bl *ir.Builder, f ir.Reg) {
+			bl.Ret(bl.AddI(f, 10))
+		}, func(flag int64) int64 { return 10 + flag }, func(x xinstr) bool {
+			return x.kind == xALU && x.nm == 4 && x.mi[2].kind == uCmp && x.mi[3].kind == uAddI
+		}},
+	}
+	for _, op := range ops {
+		for _, sh := range shapes {
+			for _, a := range vals {
+				for _, b := range vals {
+					bl := ir.NewBuilder("main")
+					sh.build(bl, op.cmp(bl, bl.Const(a), bl.Const(b)))
+					prog := ir.NewProgram()
+					prog.Add(bl.Finish())
+					want := sh.ret(b2i(op.want(a, b)))
+					for _, exact := range []bool{false, true} {
+						var opts []Option
+						if exact {
+							opts = append(opts, WithPairProfile(NewPairProfile()))
+						}
+						m, err := New(prog, opts...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := m.Run()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != want {
+							t.Errorf("%s %s %d, %d (exact %v): returned %d, want %d", sh.name, op.name, a, b, exact, got, want)
+						}
+						if ins := m.codes["main"].xb[0].ins; !exact && !slices.ContainsFunc(ins, sh.formed) {
+							t.Errorf("%s %s: fused entry block %+v", sh.name, op.name, ins)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// branchShapesProgram loops 51 times through a head block that computes
+// its loop flag before a non-compare ALU run and branches on it after the
+// run, and a jump block that is only a branch back to the head.
+func branchShapesProgram() *ir.Program {
+	bl := ir.NewBuilder("main")
+	head, jump, exit := bl.Block("head"), bl.Block("jump"), bl.Block("exit")
+	n := bl.Const(50)
+	i := bl.Const(0)
+	acc := bl.Const(0)
+	bl.Br(head)
+	bl.At(head)
+	f := bl.CmpLT(i, n)
+	bl.Mov(acc, bl.Add(acc, bl.Xor(acc, i)))
+	bl.AddITo(i, i, 1)
+	bl.CondBr(f, jump, exit)
+	bl.At(jump)
+	bl.Br(head)
+	bl.At(exit)
+	bl.Ret(acc)
+	prog := ir.NewProgram()
+	prog.Add(bl.Finish())
+	return prog
+}
+
 // TestFusedTranslationShape pins the fused translation as a function of
 // the program alone: a machine with a hardware prefetcher and one with a
 // lane of its own hierarchy translate each program exactly as a bare
 // machine does. In every translation each block's xinstrs cover its source
 // instructions in order, and each xinstr's cost is the sum of the fixed
-// costs of the instructions it covers.
+// costs of the instructions it covers. In every translation, each block's
+// exact translation and a pair-profiled machine's traced translation too,
+// exactly one xinstr per block transfers control (checkTransfer).
 func TestFusedTranslationShape(t *testing.T) {
 	small := cache.ItaniumConfig()
 	small.MemLatency = 200
@@ -237,6 +381,7 @@ func TestFusedTranslationShape(t *testing.T) {
 		{"bare", nil},
 		{"hw-prefetcher", []Option{WithHWPrefetchFactory(func() HWPrefetcher { return nopPrefetcher{} })}},
 		{"own-hierarchy-lane", []Option{WithLanes(Lane{Hierarchy: small})}},
+		{"pair-profiled", []Option{WithPairProfile(NewPairProfile())}},
 	}
 	type shape struct {
 		kind xkind
@@ -249,6 +394,7 @@ func TestFusedTranslationShape(t *testing.T) {
 	}{
 		{"throughput-shape", func() *ir.Program { return throughputProgram(500, 64) }},
 		{"hooked-sum", func() *ir.Program { return hookedSumProgram(true) }},
+		{"branch-shapes", branchShapesProgram},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var want map[string][][]shape
@@ -260,16 +406,23 @@ func TestFusedTranslationShape(t *testing.T) {
 				if (m.pf != nil) != (mc.name == "hw-prefetcher") || (m.fan != nil) != (mc.name == "own-hierarchy-lane") {
 					t.Fatalf("%s: prefetcher %v, own-hierarchy lanes %d", mc.name, m.pf, len(m.fan))
 				}
+				traced := m.pairs != nil
 				got := map[string][][]shape{}
 				for name, c := range m.codes {
 					m.translateCode(c)
 					for bi, xb := range c.xb {
+						where := fmt.Sprintf("%s: %s block %d", mc.name, name, bi)
+						checkTransfer(t, where, c, xb)
+						checkTransfer(t, where+" (exact)", c, m.exactTwin(c, xb))
+						if traced {
+							continue
+						}
 						blk := c.blocks[bi]
 						var shapes []shape
 						next := int32(0)
 						for _, x := range xb.ins {
 							if x.src != next {
-								t.Errorf("%s: %s block %d: xinstr at %d starts at %d", mc.name, name, bi, next, x.src)
+								t.Errorf("%s: xinstr at %d starts at %d", where, next, x.src)
 							}
 							next = x.src + int32(x.nsrc)
 							var cost uint64
@@ -277,15 +430,18 @@ func TestFusedTranslationShape(t *testing.T) {
 								cost += OpCost(d.op)
 							}
 							if uint64(x.cost) != cost {
-								t.Errorf("%s: %s block %d: xinstr at %d costs %d, its instructions %d", mc.name, name, bi, x.src, x.cost, cost)
+								t.Errorf("%s: xinstr at %d costs %d, its instructions %d", where, x.src, x.cost, cost)
 							}
 							shapes = append(shapes, shape{x.kind, x.nsrc, x.cost})
 						}
 						if int(next) != len(blk) {
-							t.Errorf("%s: %s block %d: xinstrs cover %d of %d instructions", mc.name, name, bi, next, len(blk))
+							t.Errorf("%s: xinstrs cover %d of %d instructions", where, next, len(blk))
 						}
 						got[name] = append(got[name], shapes)
 					}
+				}
+				if traced {
+					continue
 				}
 				if want == nil {
 					want = got
@@ -294,6 +450,36 @@ func TestFusedTranslationShape(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkTransfer requires exactly one xinstr of xb to transfer control: the
+// last, which must be an xALU with a successor, an xCmpBr or an xRet. A
+// branch must be linked to its targets' translations, and no other xinstr
+// may be linked (an xTrace's t0 is zero, not a target).
+func checkTransfer(t *testing.T, where string, c *code, xb *xblock) {
+	t.Helper()
+	if len(xb.ins) == 0 {
+		t.Errorf("%s: empty translation", where)
+	}
+	for i := range xb.ins {
+		x := &xb.ins[i]
+		branch := x.kind == xCmpBr || x.kind == xALU && x.t0 >= 0
+		if transfers := branch || x.kind == xRet; transfers != (i == len(xb.ins)-1) {
+			t.Errorf("%s: xinstr %d of %d (kind %d) transfers control: %v", where, i, len(xb.ins), x.kind, transfers)
+		}
+		var xb0, xb1 *xblock
+		if branch {
+			xb0 = c.xb[x.t0]
+			if x.t1 >= 0 {
+				xb1 = c.xb[x.t1]
+			} else if x.kind == xCmpBr {
+				t.Errorf("%s: xCmpBr %d has no false target", where, i)
+			}
+		}
+		if x.xb0 != xb0 || x.xb1 != xb1 {
+			t.Errorf("%s: xinstr %d (kind %d) links %p, %p, want %p, %p", where, i, x.kind, x.xb0, x.xb1, xb0, xb1)
+		}
 	}
 }
 

@@ -158,8 +158,8 @@ type decoded struct {
 	s0, s1   int32
 	pred     int32
 	cost     uint32 // OpCost(op), resolved at decode time
-	imm      int64
-	t0, t1   int32 // branch target block indices
+	imm      int64  // for a compare, its truth table (cmpMasks)
+	t0, t1   int32  // branch target block indices
 	callee   *code
 	args     []int32
 	hook     HookFunc
@@ -385,6 +385,9 @@ func (m *Machine) decodeBody(f *ir.Function) error {
 				t0:       -1,
 				t1:       -1,
 				loadSlot: -1,
+			}
+			if mask, ok := cmpMasks[in.Op]; ok {
+				d.imm = mask
 			}
 			if len(in.Targets) > 0 {
 				d.t0 = idx[in.Targets[0]]

@@ -8,8 +8,12 @@ import (
 
 // stepFused is the machine's step loop: the function is translated on
 // first entry (bbcache.go) and then executes as pointer-linked blocks, with
-// the per-instruction overheads charged once per xinstr and compare+branch
-// pairs running as superinstructions. Observers attach inside the
+// the per-instruction overheads — budget check, cost charge and the one
+// qualifying-predicate test — paid once per xinstr, before the dispatch
+// switch. xALU is the one handler for ALU work: it runs its group's micros
+// and then, when the group ends its block, takes the block's branch;
+// compare+branch pairs run as the xCmpBr superinstruction, and every
+// compare evaluates its truth table with cmp. Observers attach inside the
 // memory handlers: the hardware prefetcher's Observe after each demand
 // load, the record of the lane fan-out beside every hierarchy access (see
 // replay), and the obs collector and shadow models inside the hierarchy and
@@ -75,204 +79,79 @@ blocks:
 				continue blocks
 			}
 			cycles += uint64(x.cost)
+			if x.pred >= 0 && regs[x.pred] == 0 {
+				continue
+			}
 
 			switch x.kind {
 			case xALU:
-				if x.pred >= 0 && regs[x.pred] == 0 {
+				for k := uint8(0); k < x.nm; k++ {
+					u := &x.mi[k]
+					switch u.kind {
+					case uNop:
+					case uConst:
+						regs[u.dst] = u.imm
+					case uMov:
+						regs[u.dst] = regs[u.s0]
+					case uAdd:
+						regs[u.dst] = regs[u.s0] + regs[u.s1]
+					case uSub:
+						regs[u.dst] = regs[u.s0] - regs[u.s1]
+					case uMul:
+						regs[u.dst] = regs[u.s0] * regs[u.s1]
+					case uDiv:
+						if regs[u.s1] == 0 {
+							regs[u.dst] = 0
+						} else {
+							regs[u.dst] = regs[u.s0] / regs[u.s1]
+						}
+					case uRem:
+						if regs[u.s1] == 0 {
+							regs[u.dst] = 0
+						} else {
+							regs[u.dst] = regs[u.s0] % regs[u.s1]
+						}
+					case uAnd:
+						regs[u.dst] = regs[u.s0] & regs[u.s1]
+					case uOr:
+						regs[u.dst] = regs[u.s0] | regs[u.s1]
+					case uXor:
+						regs[u.dst] = regs[u.s0] ^ regs[u.s1]
+					case uShl:
+						regs[u.dst] = regs[u.s0] << (uint64(regs[u.s1]) & 63)
+					case uShr:
+						regs[u.dst] = regs[u.s0] >> (uint64(regs[u.s1]) & 63)
+					case uAddI:
+						regs[u.dst] = regs[u.s0] + u.imm
+					case uShlI:
+						regs[u.dst] = regs[u.s0] << (uint64(u.imm) & 63)
+					case uShrI:
+						regs[u.dst] = regs[u.s0] >> (uint64(u.imm) & 63)
+					case uAndI:
+						regs[u.dst] = regs[u.s0] & u.imm
+					case uMulI:
+						regs[u.dst] = regs[u.s0] * u.imm
+					case uOrI:
+						regs[u.dst] = regs[u.s0] | u.imm
+					case uXorI:
+						regs[u.dst] = regs[u.s0] ^ u.imm
+					case uCmp:
+						regs[u.dst] = b2i(cmp(u.imm, regs[u.s0], regs[u.s1]))
+					}
+				}
+				if x.xb0 == nil {
 					continue
 				}
-				for k := uint8(0); k < x.nm; k++ {
-					u := &x.mi[k]
-					switch u.kind {
-					case uNop:
-					case uConst:
-						regs[u.dst] = u.imm
-					case uMov:
-						regs[u.dst] = regs[u.s0]
-					case uAdd:
-						regs[u.dst] = regs[u.s0] + regs[u.s1]
-					case uSub:
-						regs[u.dst] = regs[u.s0] - regs[u.s1]
-					case uMul:
-						regs[u.dst] = regs[u.s0] * regs[u.s1]
-					case uDiv:
-						if regs[u.s1] == 0 {
-							regs[u.dst] = 0
-						} else {
-							regs[u.dst] = regs[u.s0] / regs[u.s1]
-						}
-					case uRem:
-						if regs[u.s1] == 0 {
-							regs[u.dst] = 0
-						} else {
-							regs[u.dst] = regs[u.s0] % regs[u.s1]
-						}
-					case uAnd:
-						regs[u.dst] = regs[u.s0] & regs[u.s1]
-					case uOr:
-						regs[u.dst] = regs[u.s0] | regs[u.s1]
-					case uXor:
-						regs[u.dst] = regs[u.s0] ^ regs[u.s1]
-					case uShl:
-						regs[u.dst] = regs[u.s0] << (uint64(regs[u.s1]) & 63)
-					case uShr:
-						regs[u.dst] = regs[u.s0] >> (uint64(regs[u.s1]) & 63)
-					case uAddI:
-						regs[u.dst] = regs[u.s0] + u.imm
-					case uShlI:
-						regs[u.dst] = regs[u.s0] << (uint64(u.imm) & 63)
-					case uShrI:
-						regs[u.dst] = regs[u.s0] >> (uint64(u.imm) & 63)
-					case uAndI:
-						regs[u.dst] = regs[u.s0] & u.imm
-					case uMulI:
-						regs[u.dst] = regs[u.s0] * u.imm
-					case uOrI:
-						regs[u.dst] = regs[u.s0] | u.imm
-					case uXorI:
-						regs[u.dst] = regs[u.s0] ^ u.imm
-					case uCmpEQ:
-						regs[u.dst] = b2i(regs[u.s0] == regs[u.s1])
-					case uCmpNE:
-						regs[u.dst] = b2i(regs[u.s0] != regs[u.s1])
-					case uCmpLT:
-						regs[u.dst] = b2i(regs[u.s0] < regs[u.s1])
-					case uCmpLE:
-						regs[u.dst] = b2i(regs[u.s0] <= regs[u.s1])
-					case uCmpGT:
-						regs[u.dst] = b2i(regs[u.s0] > regs[u.s1])
-					case uCmpGE:
-						regs[u.dst] = b2i(regs[u.s0] >= regs[u.s1])
-					}
-				}
-			case xALUBr:
-				for k := uint8(0); k < x.nm; k++ {
-					u := &x.mi[k]
-					switch u.kind {
-					case uNop:
-					case uConst:
-						regs[u.dst] = u.imm
-					case uMov:
-						regs[u.dst] = regs[u.s0]
-					case uAdd:
-						regs[u.dst] = regs[u.s0] + regs[u.s1]
-					case uSub:
-						regs[u.dst] = regs[u.s0] - regs[u.s1]
-					case uMul:
-						regs[u.dst] = regs[u.s0] * regs[u.s1]
-					case uDiv:
-						if regs[u.s1] == 0 {
-							regs[u.dst] = 0
-						} else {
-							regs[u.dst] = regs[u.s0] / regs[u.s1]
-						}
-					case uRem:
-						if regs[u.s1] == 0 {
-							regs[u.dst] = 0
-						} else {
-							regs[u.dst] = regs[u.s0] % regs[u.s1]
-						}
-					case uAnd:
-						regs[u.dst] = regs[u.s0] & regs[u.s1]
-					case uOr:
-						regs[u.dst] = regs[u.s0] | regs[u.s1]
-					case uXor:
-						regs[u.dst] = regs[u.s0] ^ regs[u.s1]
-					case uShl:
-						regs[u.dst] = regs[u.s0] << (uint64(regs[u.s1]) & 63)
-					case uShr:
-						regs[u.dst] = regs[u.s0] >> (uint64(regs[u.s1]) & 63)
-					case uAddI:
-						regs[u.dst] = regs[u.s0] + u.imm
-					case uShlI:
-						regs[u.dst] = regs[u.s0] << (uint64(u.imm) & 63)
-					case uShrI:
-						regs[u.dst] = regs[u.s0] >> (uint64(u.imm) & 63)
-					case uAndI:
-						regs[u.dst] = regs[u.s0] & u.imm
-					case uMulI:
-						regs[u.dst] = regs[u.s0] * u.imm
-					case uOrI:
-						regs[u.dst] = regs[u.s0] | u.imm
-					case uXorI:
-						regs[u.dst] = regs[u.s0] ^ u.imm
-					case uCmpEQ:
-						regs[u.dst] = b2i(regs[u.s0] == regs[u.s1])
-					case uCmpNE:
-						regs[u.dst] = b2i(regs[u.s0] != regs[u.s1])
-					case uCmpLT:
-						regs[u.dst] = b2i(regs[u.s0] < regs[u.s1])
-					case uCmpLE:
-						regs[u.dst] = b2i(regs[u.s0] <= regs[u.s1])
-					case uCmpGT:
-						regs[u.dst] = b2i(regs[u.s0] > regs[u.s1])
-					case uCmpGE:
-						regs[u.dst] = b2i(regs[u.s0] >= regs[u.s1])
-					}
-				}
-				xb = x.xb0
-				continue blocks
-
-			case xEqBr:
-				f := regs[x.s0] == regs[x.s1]
-				regs[x.dst] = b2i(f)
-				if f {
+				if x.xb1 == nil || regs[x.s0] != 0 {
 					xb = x.xb0
 				} else {
 					xb = x.xb1
 				}
 				continue blocks
-			case xNeBr:
-				f := regs[x.s0] != regs[x.s1]
+			case xCmpBr:
+				f := cmp(x.imm, regs[x.s0], regs[x.s1])
 				regs[x.dst] = b2i(f)
 				if f {
-					xb = x.xb0
-				} else {
-					xb = x.xb1
-				}
-				continue blocks
-			case xLtBr:
-				f := regs[x.s0] < regs[x.s1]
-				regs[x.dst] = b2i(f)
-				if f {
-					xb = x.xb0
-				} else {
-					xb = x.xb1
-				}
-				continue blocks
-			case xLeBr:
-				f := regs[x.s0] <= regs[x.s1]
-				regs[x.dst] = b2i(f)
-				if f {
-					xb = x.xb0
-				} else {
-					xb = x.xb1
-				}
-				continue blocks
-			case xGtBr:
-				f := regs[x.s0] > regs[x.s1]
-				regs[x.dst] = b2i(f)
-				if f {
-					xb = x.xb0
-				} else {
-					xb = x.xb1
-				}
-				continue blocks
-			case xGeBr:
-				f := regs[x.s0] >= regs[x.s1]
-				regs[x.dst] = b2i(f)
-				if f {
-					xb = x.xb0
-				} else {
-					xb = x.xb1
-				}
-				continue blocks
-
-			case xBr:
-				xb = x.xb0
-				continue blocks
-			case xCondBr:
-				if regs[x.s0] != 0 {
 					xb = x.xb0
 				} else {
 					xb = x.xb1
@@ -286,9 +165,6 @@ blocks:
 				return 0, nil
 
 			case xLoad:
-				if x.pred >= 0 && regs[x.pred] == 0 {
-					continue
-				}
 				addr := uint64(regs[x.s0] + x.imm)
 				lat := uint64(m.Hier.Load(addr, cycles))
 				if m.fan != nil {
@@ -305,9 +181,6 @@ blocks:
 				// Speculative load: non-faulting and excluded from per-load
 				// reference statistics and prefetcher training (it is
 				// inserted machinery, not a program load).
-				if x.pred >= 0 && regs[x.pred] == 0 {
-					continue
-				}
 				addr := uint64(regs[x.s0] + x.imm)
 				lat := uint64(m.Hier.Load(addr, cycles))
 				if m.fan != nil {
@@ -316,9 +189,6 @@ blocks:
 				cycles += lat
 				regs[x.dst] = m.Mem.Load(addr)
 			case xStore:
-				if x.pred >= 0 && regs[x.pred] == 0 {
-					continue
-				}
 				addr := uint64(regs[x.s0] + x.imm)
 				lat := uint64(m.Hier.Store(addr, cycles))
 				if m.fan != nil {
@@ -328,9 +198,6 @@ blocks:
 				m.Mem.Store(addr, regs[x.s1])
 				m.stats.StoreRefs++
 			case xPrefetch:
-				if x.pred >= 0 && regs[x.pred] == 0 {
-					continue
-				}
 				addr := uint64(regs[x.s0] + x.imm)
 				m.stats.PrefetchRefs++
 				// Non-faulting: wild addresses are ignored rather than
@@ -343,9 +210,6 @@ blocks:
 				}
 
 			case xHook:
-				if x.pred >= 0 && regs[x.pred] == 0 {
-					continue
-				}
 				m.stats.Instrs, m.cycles = instrs, cycles
 				argv := m.argValues(regs, x.args)
 				m.stats.HookCalls++
@@ -353,9 +217,6 @@ blocks:
 				m.releaseArgs(argv)
 				instrs, cycles = m.stats.Instrs, m.cycles
 			case xCall:
-				if x.pred >= 0 && regs[x.pred] == 0 {
-					continue
-				}
 				m.stats.Instrs, m.cycles = instrs, cycles
 				if x.callee == nil {
 					return 0, fmt.Errorf("machine: call to unknown function")
@@ -371,14 +232,8 @@ blocks:
 					regs[x.dst] = rv
 				}
 			case xAlloc:
-				if x.pred >= 0 && regs[x.pred] == 0 {
-					continue
-				}
 				regs[x.dst] = int64(m.Heap.TryAlloc(regs[x.s0]))
 			case xRand:
-				if x.pred >= 0 && regs[x.pred] == 0 {
-					continue
-				}
 				bound := regs[x.s0]
 				if bound <= 0 {
 					regs[x.dst] = 0

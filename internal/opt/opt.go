@@ -100,7 +100,8 @@ func pure(op ir.Opcode) bool {
 }
 
 // evalBinary folds a two-source op over constants, mirroring the machine's
-// semantics exactly (including zero-divisor and shift-mask behaviour).
+// semantics exactly (including zero-divisor and shift-mask behaviour), as
+// TestFoldsMatchMachine checks.
 func evalBinary(op ir.Opcode, a, b int64) (int64, bool) {
 	switch op {
 	case ir.OpAdd:

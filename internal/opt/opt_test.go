@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -308,6 +309,111 @@ func TestOptimizerDeterministic(t *testing.T) {
 		}
 		if ir.PrintProgram(o1) != ir.PrintProgram(o2) {
 			t.Fatalf("seed %d: nondeterministic optimisation", seed)
+		}
+	}
+}
+
+// TestFoldsMatchMachine pins evalBinary's and evalImm's claim to mirror the
+// machine: every opcode they fold, over edge operands (MinInt64 / -1 and
+// MinInt64 % -1, zero divisors, shift counts -1, 63, 64 and 65, MinInt64
+// and MaxInt64 on either side), must fold to what the machine computes for
+// the same instruction. The machine runs each instruction with its constant
+// operands in registers, each read twice so the translator cannot fold it,
+// and with a single-use constant right before the instruction, on the right
+// and then on the left, which the translator folds into an immediate micro
+// where the instruction has one.
+func TestFoldsMatchMachine(t *testing.T) {
+	edges := []int64{math.MinInt64, math.MinInt64 + 1, -65, -1, 0, 1, 7, 63, 64, 65, math.MaxInt64}
+	const base = 0x4000_0000
+	// emit appends dst = op(a, b), or dst = op(a, imm) for an immediate form.
+	emit := func(bl *ir.Builder, op ir.Opcode, a, b ir.Reg, imm int64) ir.Reg {
+		in := ir.NewInstr(op)
+		in.Dst, in.Src[0], in.Src[1], in.Imm = bl.F.NewReg(), a, b, imm
+		in.ID = bl.F.NextInstrID()
+		bl.B.Instrs = append(bl.B.Instrs, in)
+		return in.Dst
+	}
+	type form string
+	const (
+		registers   form = "registers"
+		singleRight form = "single-use right"
+		singleLeft  form = "single-use left"
+	)
+	// run computes op over every pair of edges in form f on a machine and
+	// returns the results in pair order.
+	run := func(op ir.Opcode, f form, immForm bool) []int64 {
+		bl := ir.NewBuilder("main")
+		p := bl.Const(base)
+		n := 0
+		for _, x := range edges {
+			for _, y := range edges {
+				var r ir.Reg
+				switch {
+				case immForm:
+					a := bl.Const(x)
+					r = emit(bl, op, a, ir.NoReg, y)
+					if f == registers {
+						bl.Xor(a, a)
+					}
+				case f == singleLeft:
+					b := bl.Const(y)
+					r = emit(bl, op, bl.Const(x), b, 0)
+					bl.Xor(b, b)
+				default:
+					a, b := bl.Const(x), bl.Const(y)
+					r = emit(bl, op, a, b, 0)
+					if f == registers {
+						bl.Xor(a, b)
+					} else {
+						bl.Xor(a, a)
+					}
+				}
+				bl.Store(p, int64(8*n), r)
+				n++
+			}
+		}
+		bl.Ret(ir.NoReg)
+		prog := ir.NewProgram()
+		prog.Add(bl.Finish())
+		m, err := machine.New(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]int64, n)
+		for i := range got {
+			got[i] = m.Mem.Load(uint64(base + 8*i))
+		}
+		return got
+	}
+	check := func(op ir.Opcode, f form, immForm bool, eval func(ir.Opcode, int64, int64) (int64, bool)) {
+		got := run(op, f, immForm)
+		n := 0
+		for _, x := range edges {
+			for _, y := range edges {
+				want, ok := eval(op, x, y)
+				if !ok {
+					t.Fatalf("%s does not fold", op)
+				}
+				if got[n] != want {
+					t.Errorf("%s %d, %d (%s): machine %d, folded %d", op, x, y, f, got[n], want)
+				}
+				n++
+			}
+		}
+	}
+	for _, op := range []ir.Opcode{ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
+		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr,
+		ir.OpCmpEQ, ir.OpCmpNE, ir.OpCmpLT, ir.OpCmpLE, ir.OpCmpGT, ir.OpCmpGE} {
+		for _, f := range []form{registers, singleRight, singleLeft} {
+			check(op, f, false, evalBinary)
+		}
+	}
+	for _, op := range []ir.Opcode{ir.OpAddI, ir.OpShlI, ir.OpShrI, ir.OpAndI} {
+		for _, f := range []form{registers, singleRight} {
+			check(op, f, true, evalImm)
 		}
 	}
 }

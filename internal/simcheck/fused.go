@@ -21,10 +21,12 @@ func exactTranslation() machine.Option { return machine.WithPairProfile(machine.
 // CheckFusedDifferential generates a program from (seed, cfg) and executes
 // it through the machine's fused translation and through its exact
 // translation (selected with WithPairProfile). The fused translation —
-// compare+branch fusion, ALU groups, constant folding — must be
-// observably identical: same result, same statistics (including exact
-// instruction and cycle counts), same final memory image, same per-load
-// reference counts.
+// compare+branch fusion, ALU groups ending in their block's branch,
+// constant folding — must be observably identical: same result, same
+// statistics (including exact instruction and cycle counts), same final
+// memory image, same per-load reference counts. Both translations share
+// the compare truth tables, so a wrong bit in one shows in neither;
+// machine.TestCompareSemantics checks those against Go's operators.
 //
 // The comparison is repeated three more ways:
 //
