@@ -648,13 +648,16 @@ func BenchmarkBaselineHardwareRPT(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		speedupWith := func(cfg hwpf.Config) (float64, *hwpf.RPT) {
-			rpt := hwpf.New(cfg)
+		speedupWith := func(cfg hwpf.Config) (float64, hwpf.Counters) {
+			rpt, err := hwpf.NewScheme("rpt", cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
 			hw, err := core.Execute(w.Program(), w, w.Ref(), machine.Config{NewHWPrefetch: func() machine.HWPrefetcher { return rpt }})
 			if err != nil {
 				b.Fatal(err)
 			}
-			return float64(clean.Stats.Cycles) / float64(hw.Stats.Cycles), rpt
+			return float64(clean.Stats.Cycles) / float64(hw.Stats.Cycles), rpt.Counters()
 		}
 		ample, _ := speedupWith(hwpf.Config{Entries: 64, Ways: 4})
 		tiny, tinyTab := speedupWith(hwpf.Config{Entries: 2, Ways: 1})

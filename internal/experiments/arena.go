@@ -102,7 +102,6 @@ func (s *Session) arenaRow(ctx context.Context, wname string) (arenaCells, error
 			col          *obs.Collector
 		}
 		var cells []cellLane
-		hcfg := s.cfg.HWPFConfig
 		for _, h := range hiers {
 			for _, scheme := range hwpf.Schemes() {
 				scheme := scheme
@@ -112,7 +111,7 @@ func (s *Session) arenaRow(ctx context.Context, wname string) (arenaCells, error
 					Hierarchy: h.Config,
 					Obs:       col,
 					NewHWPrefetch: func() machine.HWPrefetcher {
-						p, _ := hwpf.NewScheme(scheme, hcfg)
+						p, _ := hwpf.NewScheme(scheme, hwpf.Config{})
 						return p
 					},
 				})
@@ -170,7 +169,7 @@ func (s *Session) ArenaCell(ctx context.Context, wname, hierName, scheme string)
 	if !known {
 		return nil, fmt.Errorf("experiments: unknown arena cache config %q", hierName)
 	}
-	if _, err := hwpf.NewScheme(scheme, s.cfg.HWPFConfig); err != nil {
+	if _, err := hwpf.NewScheme(scheme, hwpf.Config{}); err != nil {
 		return nil, err
 	}
 	row, err := s.arenaRow(ctx, wname)

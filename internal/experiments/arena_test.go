@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"stridepf/internal/hwpf"
+	"stridepf/internal/machine"
 )
 
 // TestArenaGolden locks the arena figure's bytes for the default-config
@@ -78,9 +79,9 @@ func TestArenaParallelMatchesSerial(t *testing.T) {
 }
 
 // TestFig16ByteIdenticalUnderDisabledHWPF is the figure-level statement of
-// the hwpfneutral property: a session that attaches a disabled prefetcher
-// to every machine must reproduce the paper figure byte for byte, cycles
-// included.
+// the hwpfneutral property: a session that attaches a silenced prefetcher
+// (trained on every load, its predictions discarded) to every machine must
+// reproduce the paper figure byte for byte, cycles included.
 func TestFig16ByteIdenticalUnderDisabledHWPF(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment session in -short mode")
@@ -90,10 +91,13 @@ func TestFig16ByteIdenticalUnderDisabledHWPF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	silencedBaerChen := func() machine.HWPrefetcher {
+		p, _ := hwpf.NewScheme("baer-chen", hwpf.Config{})
+		return silenced{p}
+	}
 	got, err := NewSession(Config{
-		Workloads:  roster,
-		HWPF:       "baer-chen",
-		HWPFConfig: hwpf.Config{Disabled: true},
+		Workloads: roster,
+		Machine:   machine.Config{NewHWPrefetch: silencedBaerChen},
 	}).FigureText(ctx, "16", false)
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +105,14 @@ func TestFig16ByteIdenticalUnderDisabledHWPF(t *testing.T) {
 	if got != want {
 		t.Errorf("disabled prefetcher changed Figure 16\n--- with ---\n%s\n--- without ---\n%s", got, want)
 	}
+}
+
+// silenced trains a prefetcher but discards every prediction it makes.
+type silenced struct{ hwpf.Prefetcher }
+
+func (s silenced) Train(pc, addr uint64) (uint64, bool) {
+	s.Prefetcher.Train(pc, addr)
+	return 0, false
 }
 
 // TestArenaUnknownSchemeFails pins the session-level validation: a bad

@@ -72,9 +72,6 @@ type Config struct {
 	// pre-arena harness. The arena figure ignores this field: it always
 	// sweeps every registered scheme against a no-prefetcher baseline.
 	HWPF string
-	// HWPFConfig sizes the hardware prefetchers (both the HWPF scheme and
-	// the arena sweep); the zero value selects the hwpf defaults.
-	HWPFConfig hwpf.Config
 	// Jobs bounds the worker pool used when the session precomputes cells
 	// in parallel (see Warm and RunAll). Zero selects GOMAXPROCS; one runs
 	// strictly serially.
@@ -194,12 +191,12 @@ func NewSession(cfg Config) *Session {
 	m := &memo{cfg: cfg, cells: make(map[any]any), inflight: make(map[any]*flight)}
 	m.cfg.Workloads = nil
 	if cfg.HWPF != "" {
-		if _, err := hwpf.NewScheme(cfg.HWPF, cfg.HWPFConfig); err != nil {
+		if _, err := hwpf.NewScheme(cfg.HWPF, hwpf.Config{}); err != nil {
 			m.hwpfErr = err
 		} else {
-			scheme, hcfg := cfg.HWPF, cfg.HWPFConfig
+			scheme := cfg.HWPF
 			m.hwpfFactory = func() machine.HWPrefetcher {
-				p, _ := hwpf.NewScheme(scheme, hcfg)
+				p, _ := hwpf.NewScheme(scheme, hwpf.Config{})
 				return p
 			}
 		}

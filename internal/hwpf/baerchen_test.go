@@ -17,7 +17,7 @@ func stateName(s state) string {
 	return "?"
 }
 
-// TestBaerChenTransitionTable drives update through every state × event
+// TestBaerChenTransitionTable drives Train through every state × event
 // pair of the Baer–Chen automaton, including the NO_PRED re-entry path
 // (correct in NO_PRED climbs back to TRANSIENT, never straight to STEADY)
 // and the stride-change paths (incorrect in INIT/TRANSIENT/NO_PRED adopts
@@ -31,37 +31,43 @@ func TestBaerChenTransitionTable(t *testing.T) {
 		addr       uint64 // next address; delta = addr - prev
 		wantSt     state
 		wantStride int64
-		wantIssued uint64 // prefetches issued by this one update
+		want       prediction // this one call's prediction
 	}{
-		// INIT: correct confirms straight to STEADY (and issues); incorrect
-		// adopts the delta and tries again from TRANSIENT.
-		{"init/correct", initial, 64, prev + 64, steady, 64, 1},
-		{"init/incorrect-stride-change", initial, 64, prev + 256, transient, 256, 0},
+		// INIT: correct confirms straight to STEADY (and predicts);
+		// incorrect adopts the delta and tries again from TRANSIENT.
+		{"init/correct", initial, 64, prev + 64, steady, 64, at(prev + 64 + 4*64)},
+		{"init/incorrect-stride-change", initial, 64, prev + 256, transient, 256, none},
 		// TRANSIENT: correct confirms to STEADY; incorrect gives up to
 		// NO_PRED with the new candidate stride.
-		{"transient/correct", transient, 64, prev + 64, steady, 64, 1},
-		{"transient/incorrect-stride-change", transient, 64, prev + 256, noPred, 256, 0},
-		// STEADY: correct stays (and issues); incorrect falls back to INIT
+		{"transient/correct", transient, 64, prev + 64, steady, 64, at(prev + 64 + 4*64)},
+		{"transient/incorrect-stride-change", transient, 64, prev + 256, noPred, 256, none},
+		// STEADY: correct stays (and predicts); incorrect falls back to INIT
 		// keeping the stride — one misprediction is forgiven.
-		{"steady/correct", steady, 64, prev + 64, steady, 64, 1},
-		{"steady/incorrect-keeps-stride", steady, 64, prev + 256, initial, 64, 0},
-		// NO_PRED: correct re-enters through TRANSIENT (no issue yet);
+		{"steady/correct", steady, 64, prev + 64, steady, 64, at(prev + 64 + 4*64)},
+		{"steady/incorrect-keeps-stride", steady, 64, prev + 256, initial, 64, none},
+		// NO_PRED: correct re-enters through TRANSIENT (no prediction yet);
 		// incorrect stays in NO_PRED chasing the latest delta.
-		{"nopred/correct-reentry", noPred, 64, prev + 64, transient, 64, 0},
-		{"nopred/incorrect-stride-change", noPred, 64, prev + 256, noPred, 256, 0},
+		{"nopred/correct-reentry", noPred, 64, prev + 64, transient, 64, none},
+		{"nopred/incorrect-stride-change", noPred, 64, prev + 256, noPred, 256, none},
 		// Raw comparison: a repeated address is a "correct" zero-delta
-		// prediction and reaches STEADY, but a zero stride never issues.
-		{"init/zero-delta-correct-no-issue", initial, 0, prev, steady, 0, 0},
-		{"steady/zero-delta-correct-no-issue", steady, 0, prev, steady, 0, 0},
-		// Negative strides confirm and issue exactly like positive ones.
-		{"steady/correct-negative", steady, -64, prev - 64, steady, -64, 1},
+		// prediction and reaches STEADY, but a zero stride never predicts.
+		{"init/zero-delta-correct-no-issue", initial, 0, prev, steady, 0, none},
+		{"steady/zero-delta-correct-no-issue", steady, 0, prev, steady, 0, none},
+		// Negative strides confirm and predict exactly like positive ones.
+		{"steady/correct-negative", steady, -64, prev - 64, steady, -64, at(prev - 64 - 4*64)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := NewBaerChen(Config{})
-			h := newHier()
-			e := &bcEntry{valid: true, tag: 1, prev: prev, stride: tc.stride, st: tc.st}
-			p.update(e, tc.addr, h, 0)
+			p := newStrideTable("baer-chen", true, Config{})
+			p.Train(1, prev) // allocates pc 1's entry
+			i, hit := p.tags.find(1)
+			if !hit {
+				t.Fatal("pc 1 has no entry after its first access")
+			}
+			e := &p.tab[i]
+			*e = strideEntry{prev: prev, stride: tc.stride, st: tc.st}
+			got := trainAll(p, 1, []uint64{tc.addr})
+			checkPredictions(t, got, []prediction{tc.want})
 			if e.st != tc.wantSt {
 				t.Errorf("state %s, want %s", stateName(e.st), stateName(tc.wantSt))
 			}
@@ -71,78 +77,40 @@ func TestBaerChenTransitionTable(t *testing.T) {
 			if e.prev != tc.addr {
 				t.Errorf("prev %#x not updated to %#x", e.prev, tc.addr)
 			}
-			if p.Issued != tc.wantIssued {
-				t.Errorf("issued %d, want %d", p.Issued, tc.wantIssued)
+			wantIssued := uint64(0)
+			if tc.want.ok {
+				wantIssued = 1
+			}
+			if n := p.Counters().Issued; n != wantIssued {
+				t.Errorf("Issued = %d, want %d", n, wantIssued)
 			}
 		})
 	}
 }
 
-// TestBaerChenObserveSequence walks the automaton through the public
-// Observe path: allocation, one incorrect, then steady issuing on every
-// further access — first issue on the third access of a constant-stride
+// TestBaerChenObserveSequence walks the automaton through Train from an
+// empty table: allocation, one incorrect, then a prediction on every
+// further access — the first on the third access of a constant-stride
 // stream, exactly like the RPT.
 func TestBaerChenObserveSequence(t *testing.T) {
-	p := NewBaerChen(Config{})
-	h := newHier()
-	a := uint64(0x20_000)
-	for i := 0; i < 10; i++ {
-		p.Observe(7, a, h, uint64(i*10))
-		a += 64
-	}
+	p := mustScheme(t, "baer-chen", Config{})
+	addrs := walk(0x20_000, 64, 10)
+	checkPredictions(t, trainAll(p, 7, addrs), strideWant(addrs, 64))
 	// Access 1 allocates, access 2 is an INIT miss (stride was 0), accesses
-	// 3..10 are correct in TRANSIENT-then-STEADY: 8 issues.
-	if p.Issued != 8 {
-		t.Errorf("issued %d over a 10-access stride stream, want 8", p.Issued)
-	}
-	// The last access predicts Distance strides ahead.
-	want := a - 64 + 4*64
-	if lat := h.Load(want, 1_000_000); lat >= h.Config().MemLatency {
-		t.Errorf("predicted line %#x not prefetched (latency %d)", want, lat)
-	}
-}
-
-// TestBaerChenDegreeKnob pins the aggressiveness axis: Degree k issues k
-// consecutive predictions per steady trigger, at Distance..Distance+k-1
-// strides ahead.
-func TestBaerChenDegreeKnob(t *testing.T) {
-	p := NewBaerChen(Config{Degree: 3})
-	h := newHier()
-	base := uint64(0x30_000)
-	for i := 0; i < 3; i++ {
-		p.Observe(7, base+uint64(i)*64, h, uint64(i*10))
-	}
-	if p.Issued != 3 {
-		t.Fatalf("issued %d on the first steady trigger with Degree=3, want 3", p.Issued)
-	}
-	last := base + 2*64
-	for k := 0; k < 3; k++ {
-		want := last + uint64(4+k)*64
-		if lat := h.Load(want, 1_000_000); lat >= h.Config().MemLatency {
-			t.Errorf("degree target %d (%#x) not prefetched (latency %d)", k, want, lat)
-		}
+	// 3..10 are correct in TRANSIENT-then-STEADY: 8 predictions.
+	if c := p.Counters(); c.Issued != 8 {
+		t.Errorf("issued %d over a 10-access stride stream, want 8", c.Issued)
 	}
 }
 
 // TestBaerChenDownwardWalkIssues mirrors the RPT regression: in-range
 // negative-stride predictions must issue, not vanish.
 func TestBaerChenDownwardWalkIssues(t *testing.T) {
-	p := NewBaerChen(Config{})
-	h := newHier()
-	a := uint64(0x10_0000)
-	for i := 0; i < 10; i++ {
-		p.Observe(1, a, h, uint64(i*10))
-		a -= 64
-	}
-	if p.Issued == 0 {
-		t.Fatal("downward-walking load issued no prefetches")
-	}
-	if p.Wrapped != 0 {
-		t.Errorf("Wrapped = %d on an in-range downward walk, want 0", p.Wrapped)
-	}
-	want := a + 64 - uint64(4*64)
-	if lat := h.Load(want, 1_000_000); lat >= h.Config().MemLatency {
-		t.Errorf("predicted downward line not prefetched (latency %d)", lat)
+	p := mustScheme(t, "baer-chen", Config{})
+	addrs := walk(0x10_0000, -64, 10)
+	checkPredictions(t, trainAll(p, 1, addrs), strideWant(addrs, -64))
+	if c := p.Counters(); c.Wrapped != 0 {
+		t.Errorf("Wrapped = %d on an in-range downward walk, want 0", c.Wrapped)
 	}
 }
 
@@ -150,18 +118,11 @@ func TestBaerChenDownwardWalkIssues(t *testing.T) {
 // for the Baer–Chen automaton: walking down at the bottom of the address
 // space pushes predictions past zero; they must be counted, never issued.
 func TestBaerChenWrapNearZeroCountedNotIssued(t *testing.T) {
-	p := NewBaerChen(Config{})
-	h := newHier()
-	a := uint64(0x200) // 4*64 ahead crosses zero once a < 0x400
-	for i := 0; i < 6; i++ {
-		p.Observe(1, a, h, uint64(i*10))
-		a -= 64
-	}
-	if p.Wrapped == 0 {
-		t.Fatal("predictions past address zero were not counted as wrapped")
-	}
-	if p.Issued+p.Wrapped == 0 {
-		t.Fatal("steady state never reached")
+	p := mustScheme(t, "baer-chen", Config{})
+	got := trainAll(p, 1, walk(0x200, -64, 6))
+	checkPredictions(t, got, []prediction{none, none, at(0x80), at(0x40), none, none})
+	if c := p.Counters(); c.Issued != 2 || c.Wrapped != 2 {
+		t.Errorf("Issued = %d, Wrapped = %d, want 2, 2", c.Issued, c.Wrapped)
 	}
 }
 
@@ -169,50 +130,25 @@ func TestBaerChenWrapNearZeroCountedNotIssued(t *testing.T) {
 // walk near the top of the address space wraps past 2^64 and must be
 // discarded with the same accounting.
 func TestBaerChenWrapNearTopCountedNotIssued(t *testing.T) {
-	p := NewBaerChen(Config{})
-	h := newHier()
-	a := ^uint64(0) - 0x1ff // 4*64 ahead crosses the top
-	for i := 0; i < 6; i++ {
-		p.Observe(1, a, h, uint64(i*10))
-		a += 64
-	}
-	if p.Wrapped == 0 {
-		t.Fatal("predictions past the top of the address space were not counted as wrapped")
-	}
-}
-
-// TestBaerChenDegreePartialWrap checks the per-target accounting when only
-// the further-out degree targets wrap: the in-range ones still issue.
-func TestBaerChenDegreePartialWrap(t *testing.T) {
-	p := NewBaerChen(Config{Degree: 2})
-	h := newHier()
-	// After the third access the entry is STEADY at addr 0x140, stride -64:
-	// target k=0 is 0x140-0x100 = 0x40 (in range), k=1 is 0x140-0x140 = 0
-	// (wraps by the target==0 rule).
-	for i, a := range []uint64{0x1c0, 0x180, 0x140} {
-		p.Observe(1, a, h, uint64(i*10))
-	}
-	if p.Issued != 1 {
-		t.Errorf("issued %d, want 1 (only the in-range degree target)", p.Issued)
-	}
-	if p.Wrapped != 1 {
-		t.Errorf("wrapped %d, want 1 (the past-zero degree target)", p.Wrapped)
+	p := mustScheme(t, "baer-chen", Config{})
+	top := ^uint64(0)
+	got := trainAll(p, 1, walk(top-0x1ff, 64, 6))
+	checkPredictions(t, got, []prediction{none, none, at(top - 0x7f), at(top - 0x3f), none, none})
+	if c := p.Counters(); c.Issued != 2 || c.Wrapped != 2 {
+		t.Errorf("Issued = %d, Wrapped = %d, want 2, 2", c.Issued, c.Wrapped)
 	}
 }
 
 // TestBaerChenCapacityEviction pins the Replaced counter under capacity
 // pressure — the hardware-table overflow the paper's software approach
-// avoids.
+// avoids. 16 pcs share a two-set, two-way table: each set fills its ways
+// with two pcs and evicts for the other six.
 func TestBaerChenCapacityEviction(t *testing.T) {
-	p := NewBaerChen(Config{Entries: 4, Ways: 2})
-	h := newHier()
+	p := mustScheme(t, "baer-chen", Config{Entries: 4, Ways: 2})
 	for pc := uint64(0); pc < 16; pc++ {
-		p.Observe(pc, 0x1000*pc, h, pc)
+		checkPredictions(t, trainAll(p, pc, []uint64{0x1000 * pc}), []prediction{none})
 	}
-	if p.Replaced == 0 {
-		t.Error("no evictions recorded with 16 pcs in a 4-entry table")
-	}
-	if got := p.Counters().Replaced; got != p.Replaced {
-		t.Errorf("Counters().Replaced = %d, want %d", got, p.Replaced)
+	if got := p.Counters().Replaced; got != 2*6 {
+		t.Errorf("Replaced = %d with 16 pcs in a 4-entry table, want %d", got, 2*6)
 	}
 }

@@ -6,7 +6,7 @@ package hwpf
 // checked against the closed-form counts.
 //
 // The arithmetic, for an N-access stream with stride = one cache line and
-// the default Distance 4 / Degree 1 config:
+// every scheme's one prediction per access, 4 strides (distance) ahead:
 //
 //   - every scheme confirms the pattern on its third access (the tables
 //     need allocate + one delta, the tracker needs one repeated delta, the
@@ -383,17 +383,21 @@ func TestRPTCountersReconcile(t *testing.T) {
 	for j := 0; j < n+8; j++ {
 		addrs = append(addrs, base+uint64(j)*64)
 	}
-	r := New(Config{})
+	r, err := NewScheme("rpt", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	col := runConformance(t, prog, r, func(m *machine.Machine) { storeAll(m, addrs) })
 
 	hw := col.Classes[obs.ClassHW]
-	if r.Issued != hw.Attempts() {
-		t.Errorf("RPT issued %d, obs accounted %d attempts (%+v)", r.Issued, hw.Attempts(), hw)
+	issued := r.Counters().Issued
+	if issued != hw.Attempts() {
+		t.Errorf("RPT issued %d, obs accounted %d attempts (%+v)", issued, hw.Attempts(), hw)
 	}
 	if err := col.Reconcile(); err != nil {
 		t.Errorf("lifecycle identity: %v", err)
 	}
-	if r.Issued == 0 {
+	if issued == 0 {
 		t.Error("kernel confirmed no predictions; the audit is vacuous")
 	}
 }

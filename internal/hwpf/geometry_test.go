@@ -10,10 +10,9 @@ import (
 // reject at construction: entries that do not divide by ways, and a set
 // count that is not a power of two (the set index masks the pc).
 func TestTableGeometryPanics(t *testing.T) {
-	ctors := map[string]func(Config){
-		"rpt":          func(c Config) { New(c) },
-		"baer-chen":    func(c Config) { NewBaerChen(c) },
-		"multi-stride": func(c Config) { NewMultiStride(c) },
+	ctors := map[string]func(Config){}
+	for _, scheme := range []string{"rpt", "baer-chen", "multi-stride"} {
+		ctors[scheme] = func(c Config) { NewScheme(scheme, c) }
 	}
 	cases := []struct {
 		name string

@@ -1,23 +1,13 @@
 package hwpf
 
-import (
-	"stridepf/internal/cache"
-	"stridepf/internal/obs"
-)
-
 // msEntry is one multi-stride table entry: the load's previous address and
-// a ring of its most recent deltas (2×MaxPeriod of them, enough to confirm
-// any period up to MaxPeriod twice over). The ring is the entry's own
-// fixed slice of the table's backing array; a new occupant reuses it
-// without clearing, since n bounds what at may read.
+// a ring of its most recent deltas (2×maxPeriod of them, enough to confirm
+// any period up to maxPeriod twice over).
 type msEntry struct {
-	valid bool
-	tag   uint64
-	prev  uint64
-	lru   uint64
-	hist  []int64
-	pos   int // ring slot the next delta goes to
-	n     int // deltas recorded, saturating at len(hist)
+	prev uint64
+	hist [2 * maxPeriod]int64
+	pos  int // ring slot the next delta goes to
+	n    int // deltas recorded, saturating at len(hist)
 }
 
 // push appends a delta to the ring.
@@ -41,11 +31,11 @@ func (e *msEntry) at(i int) int64 {
 	return e.hist[j]
 }
 
-// period returns the smallest period p <= max such that the last p deltas
-// equal the p before them with at least one non-zero, or 0 when no such
-// period has been confirmed yet.
-func (e *msEntry) period(max int) int {
-	for p := 1; p <= max; p++ {
+// period returns the smallest period p <= maxPeriod such that the last p
+// deltas equal the p before them with at least one non-zero, or 0 when no
+// such period has been confirmed yet.
+func (e *msEntry) period() int {
+	for p := 1; p <= maxPeriod; p++ {
 		if e.n < 2*p {
 			return 0
 		}
@@ -67,114 +57,66 @@ func (e *msEntry) period(max int) int {
 	return 0
 }
 
-// MultiStride is a stride-sequence prefetcher covering the interleaved
+// multiStride is a stride-sequence prefetcher covering the interleaved
 // multi-strided access patterns of Blom et al.: loads that walk memory with
 // a short repeating *sequence* of strides (e.g. +64, +192, +64, +192 from a
 // row-of-structs traversal) rather than one constant stride. Each PC's
 // entry keeps a ring of recent deltas; once the last p deltas repeat the p
-// before them (the smallest such p <= MaxPeriod wins), the entry predicts
-// forward by replaying the periodic delta sequence cumulatively, issuing
-// the targets Distance .. Distance+Degree-1 steps ahead.
+// before them (the smallest such p <= maxPeriod wins), the entry predicts
+// forward by replaying the periodic delta sequence cumulatively, distance
+// steps ahead.
 //
 // A period-1 pattern degenerates to the plain stride case, so on constant-
-// stride streams MultiStride issues the same targets as the RPT; its value
-// is the p > 1 coverage the single-stride automatons can never reach (they
-// flap between TRANSIENT and NO_PRED on alternating deltas).
-type MultiStride struct {
-	cfg     Config
-	setMask uint64
-	tab     []msEntry
-	tick    uint64
-
-	// Issued, Replaced and Wrapped mirror the RPT's counters; Detected
-	// counts Observe calls that confirmed some period.
-	Issued, Replaced, Wrapped, Detected uint64
+// stride streams multi-stride predicts the same targets as the RPT; its
+// value is the p > 1 coverage the single-stride automatons can never reach
+// (they flap between TRANSIENT and NO_PRED on alternating deltas).
+type multiStride struct {
+	tags tagStore
+	tab  []msEntry
+	c    Counters
 }
 
-// NewMultiStride returns an empty table.
-func NewMultiStride(cfg Config) *MultiStride {
-	mask := cfg.tableMask()
-	p := &MultiStride{cfg: cfg, setMask: mask, tab: make([]msEntry, cfg.Entries)}
-	ring := 2 * cfg.MaxPeriod
-	hist := make([]int64, cfg.Entries*ring)
-	for i := range p.tab {
-		p.tab[i].hist = hist[i*ring : (i+1)*ring : (i+1)*ring]
-	}
-	return p
+func newMultiStride(cfg Config) *multiStride {
+	tags := newTagStore(cfg)
+	return &multiStride{tags: tags, tab: make([]msEntry, len(tags.tags))}
 }
 
 // Name returns the scheme's registry name.
-func (p *MultiStride) Name() string { return "multi-stride" }
+func (p *multiStride) Name() string { return "multi-stride" }
 
 // Counters returns the table's lifetime counters.
-func (p *MultiStride) Counters() Counters {
-	return Counters{Issued: p.Issued, Replaced: p.Replaced, Wrapped: p.Wrapped}
+func (p *multiStride) Counters() Counters {
+	c := p.c
+	c.Replaced = p.tags.replaced
+	return c
 }
 
-// Observe records one execution of the static load identified by pc at
-// address addr, updating the delta history and possibly issuing prefetches.
-func (p *MultiStride) Observe(pc uint64, addr uint64, hier *cache.Hierarchy, now uint64) {
-	base := int(pc&p.setMask) * p.cfg.Ways
-	p.tick++
-
-	victim := base
-	for w := 0; w < p.cfg.Ways; w++ {
-		i := base + w
-		e := &p.tab[i]
-		if e.valid && e.tag == pc {
-			e.push(int64(addr) - int64(e.prev))
-			e.prev = addr
-			e.lru = p.tick
-			p.predict(e, addr, hier, now)
-			return
-		}
-		if !e.valid {
-			victim = i
-			continue
-		}
-		if p.tab[victim].valid && e.lru < p.tab[victim].lru {
-			victim = i
-		}
+// Train records one execution of the static load identified by pc at
+// address addr, updating its delta history and predicting once a period
+// is confirmed.
+func (p *multiStride) Train(pc, addr uint64) (uint64, bool) {
+	i, hit := p.tags.find(pc)
+	e := &p.tab[i]
+	if !hit {
+		*e = msEntry{prev: addr}
+		return 0, false
 	}
-	if p.tab[victim].valid {
-		p.Replaced++
-	}
-	p.tab[victim] = msEntry{
-		valid: true, tag: pc, prev: addr, lru: p.tick,
-		hist: p.tab[victim].hist,
-	}
-}
-
-// predict issues the periodic-sequence predictions for a just-updated
-// entry. The delta j steps ahead of the latest equals the recorded delta
-// period-1-((j-1) mod period) back from it, so the cumulative offsets walk
-// the repeating sequence exactly; back counts that index down, wrapping
-// from 0 to period-1.
-func (p *MultiStride) predict(e *msEntry, addr uint64, hier *cache.Hierarchy, now uint64) {
-	per := e.period(p.cfg.MaxPeriod)
+	e.push(int64(addr) - int64(e.prev))
+	e.prev = addr
+	per := e.period()
 	if per == 0 {
-		return
+		return 0, false
 	}
-	p.Detected++
-	steps := p.cfg.Distance + p.cfg.Degree - 1
-	cum := int64(0)
-	back := per - 1
-	for j := 1; j <= steps; j++ {
+	// The delta j steps ahead of the latest equals the recorded delta
+	// per-1-((j-1) mod per) back from it, so the cumulative offset walks
+	// the repeating sequence exactly; back counts that index down,
+	// wrapping from 0 to per-1.
+	cum, back := int64(0), per-1
+	for j := 0; j < distance; j++ {
 		cum += e.at(back)
 		if back--; back < 0 {
 			back = per - 1
 		}
-		if j < p.cfg.Distance {
-			continue
-		}
-		target, ok := predictTarget(addr, cum)
-		if !ok {
-			p.Wrapped++
-			continue
-		}
-		if !p.cfg.Disabled {
-			hier.PrefetchClass(target, now, obs.ClassHW)
-		}
-		p.Issued++
 	}
+	return p.c.predict(addr, cum)
 }

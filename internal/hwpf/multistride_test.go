@@ -2,101 +2,67 @@ package hwpf
 
 import "testing"
 
+// periodicWant is multi-stride's prediction sequence on the first n
+// addresses of a periodic stream: nothing until the period has repeated
+// (2·period deltas, so from access 2·period+1 on), then the address the
+// stream itself reaches distance accesses later. addrs must extend
+// distance addresses past n.
+func periodicWant(addrs []uint64, n, period int) []prediction {
+	want := make([]prediction, n)
+	for i := 2 * period; i < n; i++ {
+		want[i] = at(addrs[i+distance])
+	}
+	return want
+}
+
 // TestMultiStridePeriodOneMatchesRPT pins the degenerate case: on a
-// constant-stride stream the periodic detector confirms period 1 and issues
-// exactly the RPT's targets, access for access.
+// constant-stride stream the periodic detector confirms period 1 and
+// predicts exactly the RPT's targets, access for access.
 func TestMultiStridePeriodOneMatchesRPT(t *testing.T) {
-	ms := NewMultiStride(Config{})
-	r := New(Config{})
-	hm, hr := newHier(), newHier()
-	base := uint64(0x70_000)
-	for i := 0; i < 20; i++ {
-		a := base + uint64(i)*64
-		ms.Observe(3, a, hm, uint64(i*10))
-		r.Observe(3, a, hr, uint64(i*10))
-		if ms.Issued != r.Issued {
-			t.Fatalf("access %d: multi-stride issued %d, rpt issued %d", i+1, ms.Issued, r.Issued)
-		}
-	}
-	if ms.Issued == 0 {
-		t.Fatal("no prefetches issued on a constant-stride stream")
-	}
-	// Same final target: Distance strides past the last access.
-	want := base + 19*64 + 4*64
-	if lat := hm.Load(want, 1_000_000); lat >= hm.Config().MemLatency {
-		t.Errorf("period-1 target %#x not prefetched (latency %d)", want, lat)
-	}
+	addrs := walk(0x70_000, 64, 20)
+	ms := trainAll(mustScheme(t, "multi-stride", Config{}), 3, addrs)
+	checkPredictions(t, ms, trainAll(mustScheme(t, "rpt", Config{}), 3, addrs))
+	checkPredictions(t, ms, strideWant(addrs, 64))
 }
 
 // TestMultiStrideDetectsAlternatingPattern pins the scheme's reason to
 // exist: a +64/+192 alternating stream (a row-of-structs traversal) is
 // confirmed as period 2 on the fifth access — the earliest possible, once
-// 2*period deltas exist — and predicted cumulatively from then on.
+// 2*period deltas exist — and predicted cumulatively from then on: each
+// prediction is the address the stream itself reaches 4 accesses later.
 func TestMultiStrideDetectsAlternatingPattern(t *testing.T) {
-	p := NewMultiStride(Config{})
-	h := newHier()
-	addrs := alternatingAddrs(0x80_000, 64, 192, 12)
-	for i, a := range addrs {
-		p.Observe(3, a, h, uint64(i*10))
-		if i < 4 && p.Issued != 0 {
-			t.Fatalf("issued %d before 2 full periods were observed", p.Issued)
-		}
-	}
-	// Issues on accesses 5..12: one per access at Degree 1.
-	if p.Issued != 8 {
-		t.Errorf("Issued = %d over 12 accesses, want 8", p.Issued)
-	}
-	if p.Detected != 8 {
-		t.Errorf("Detected = %d, want 8", p.Detected)
-	}
-	// The last access predicts 4 steps ahead along the periodic sequence:
-	// the address the stream itself would reach 4 accesses later.
-	last := addrs[len(addrs)-1]
-	want := last + 192 + 64 + 192 + 64
-	if lat := h.Load(want, 1_000_000); lat >= h.Config().MemLatency {
-		t.Errorf("periodic target %#x not prefetched (latency %d)", want, lat)
+	const n = 12
+	p := mustScheme(t, "multi-stride", Config{})
+	addrs := alternatingAddrs(0x80_000, 64, 192, n+distance)
+	checkPredictions(t, trainAll(p, 3, addrs[:n]), periodicWant(addrs, n, 2))
+	if c := p.Counters(); c.Issued != 8 {
+		t.Errorf("Issued = %d over 12 accesses, want 8", c.Issued)
 	}
 }
 
 // TestMultiStridePeriodThree extends the pattern check to period 3 with a
 // cumulative target that mixes all three deltas.
 func TestMultiStridePeriodThree(t *testing.T) {
-	p := NewMultiStride(Config{})
-	h := newHier()
+	const n = 13
 	deltas := []int64{64, 128, 256}
 	a := uint64(0x90_000)
-	const n = 13
 	var addrs []uint64
-	for i := 0; i < n; i++ {
+	for i := 0; i < n+distance; i++ {
 		addrs = append(addrs, a)
 		a += uint64(deltas[i%3])
 	}
-	for i, addr := range addrs {
-		p.Observe(3, addr, h, uint64(i*10))
-	}
-	// Period 3 needs 6 deltas: first issue on access 7, then every access.
-	if p.Issued != n-6 {
-		t.Errorf("Issued = %d over %d accesses, want %d", p.Issued, n, n-6)
-	}
-	// The last access's prediction walks the next 4 deltas of the cycle.
-	last := addrs[n-1]
-	want := last
-	for j := 0; j < 4; j++ {
-		want += uint64(deltas[(n-1+j)%3])
-	}
-	if lat := h.Load(want, 1_000_000); lat >= h.Config().MemLatency {
-		t.Errorf("period-3 target %#x not prefetched (latency %d)", want, lat)
-	}
+	// Period 3 needs 6 deltas: the first prediction is on access 7.
+	checkPredictions(t, trainAll(mustScheme(t, "multi-stride", Config{}), 3, addrs[:n]), periodicWant(addrs, n, 3))
 }
 
 // TestMultiStrideSmallestPeriodWins pins the tie-break: a constant stride
 // also matches period 2, 3, ... — the detector must report 1.
 func TestMultiStrideSmallestPeriodWins(t *testing.T) {
-	e := &msEntry{hist: make([]int64, 8)}
+	e := &msEntry{}
 	for i := 0; i < 8; i++ {
 		e.push(64)
 	}
-	if per := e.period(4); per != 1 {
+	if per := e.period(); per != 1 {
 		t.Errorf("period = %d for a constant delta history, want 1", per)
 	}
 }
@@ -105,58 +71,49 @@ func TestMultiStrideSmallestPeriodWins(t *testing.T) {
 // load stuck on one address repeats delta 0 forever and must not be
 // "detected" (a zero-stride pattern predicts the line it already has).
 func TestMultiStrideZeroDeltasNeverConfirm(t *testing.T) {
-	p := NewMultiStride(Config{})
-	h := newHier()
-	for i := 0; i < 20; i++ {
-		p.Observe(3, 0xa0_000, h, uint64(i*10))
-	}
-	if p.Issued != 0 || p.Detected != 0 {
-		t.Errorf("Issued = %d, Detected = %d for a zero-stride load, want 0, 0", p.Issued, p.Detected)
+	p := mustScheme(t, "multi-stride", Config{})
+	addrs := walk(0xa0_000, 0, 20)
+	checkPredictions(t, trainAll(p, 3, addrs), make([]prediction, len(addrs)))
+	if c := p.Counters(); c.Issued != 0 || c.Wrapped != 0 {
+		t.Errorf("Issued = %d, Wrapped = %d for a zero-stride load, want 0, 0", c.Issued, c.Wrapped)
 	}
 }
 
 // TestMultiStrideIrregularNoIssue feeds a delta stream with no period <= 4
 // and requires silence.
 func TestMultiStrideIrregularNoIssue(t *testing.T) {
-	p := NewMultiStride(Config{})
-	h := newHier()
 	deltas := []int64{64, 128, 64, 256, 192, 64, 512, 128, 320, 64, 448, 256}
 	a := uint64(0xb0_000)
-	p.Observe(3, a, h, 0)
-	for i, d := range deltas {
+	addrs := []uint64{a}
+	for _, d := range deltas {
 		a += uint64(d)
-		p.Observe(3, a, h, uint64((i+1)*10))
+		addrs = append(addrs, a)
 	}
-	if p.Issued != 0 {
-		t.Errorf("issued %d prefetches on an aperiodic stream", p.Issued)
-	}
+	checkPredictions(t, trainAll(mustScheme(t, "multi-stride", Config{}), 3, addrs), make([]prediction, len(addrs)))
 }
 
 // TestMultiStrideWrapNearZeroCountedNotIssued is the wrap boundary for the
 // periodic predictor: a downward alternating walk near zero pushes the
-// cumulative prediction past the bottom.
+// cumulative prediction past the bottom. The stream would reach 0x100,
+// 0xc0, 0x40 and then 0 four accesses after accesses 5..8.
 func TestMultiStrideWrapNearZeroCountedNotIssued(t *testing.T) {
-	p := NewMultiStride(Config{})
-	h := newHier()
-	addrs := alternatingAddrs(0x400, -64, -128, 8)
-	for i, a := range addrs {
-		p.Observe(1, a, h, uint64(i*10))
-	}
-	if p.Wrapped == 0 {
-		t.Fatal("predictions past address zero were not counted as wrapped")
+	p := mustScheme(t, "multi-stride", Config{})
+	got := trainAll(p, 1, alternatingAddrs(0x400, -64, -128, 8))
+	checkPredictions(t, got, []prediction{none, none, none, none, at(0x100), at(0xc0), at(0x40), none})
+	if c := p.Counters(); c.Issued != 3 || c.Wrapped != 1 {
+		t.Errorf("Issued = %d, Wrapped = %d, want 3, 1", c.Issued, c.Wrapped)
 	}
 }
 
 // TestMultiStrideCapacityEviction pins the Replaced counter under capacity
-// pressure.
+// pressure: 16 pcs in a two-set, two-way table evict six times per set.
 func TestMultiStrideCapacityEviction(t *testing.T) {
-	p := NewMultiStride(Config{Entries: 4, Ways: 2})
-	h := newHier()
+	p := mustScheme(t, "multi-stride", Config{Entries: 4, Ways: 2})
 	for pc := uint64(0); pc < 16; pc++ {
-		p.Observe(pc, 0x1000*pc, h, pc)
+		checkPredictions(t, trainAll(p, pc, []uint64{0x1000 * pc}), []prediction{none})
 	}
-	if p.Replaced == 0 {
-		t.Error("no evictions recorded with 16 pcs in a 4-entry table")
+	if got := p.Counters().Replaced; got != 2*6 {
+		t.Errorf("Replaced = %d with 16 pcs in a 4-entry table, want %d", got, 2*6)
 	}
 }
 

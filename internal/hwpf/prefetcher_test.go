@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"stridepf/internal/machine"
-	"stridepf/internal/obs"
 )
 
 // TestSchemesRegistry pins the registry surface the arena, the CLI flags
@@ -60,44 +59,6 @@ func TestNewSchemeUnknown(t *testing.T) {
 	}
 }
 
-// TestDisabledSuppressesIssueOnly pins the Disabled contract the
-// hwpfneutral simcheck property builds on: a disabled prefetcher advances
-// its state machines and counters exactly as an enabled one, but never
-// touches the hierarchy.
-func TestDisabledSuppressesIssueOnly(t *testing.T) {
-	for _, name := range Schemes() {
-		t.Run(name, func(t *testing.T) {
-			off, err := NewScheme(name, Config{Disabled: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			on, err := NewScheme(name, Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			hOff, hOn := newHier(), newHier()
-			col := obs.NewCollector(nil)
-			hOff.EnableObs(col)
-			base := uint64(0xc0_000)
-			for i := 0; i < 20; i++ {
-				a := base + uint64(i)*64
-				off.Observe(9, a, hOff, uint64(i*10))
-				on.Observe(9, a, hOn, uint64(i*10))
-			}
-			if off.Counters() != on.Counters() {
-				t.Errorf("disabled counters %+v diverge from enabled %+v",
-					off.Counters(), on.Counters())
-			}
-			if off.Counters().Issued == 0 {
-				t.Error("stride stream confirmed no predictions; the test is vacuous")
-			}
-			if got := col.Totals(); got.Attempts() != 0 {
-				t.Errorf("disabled %q reached the hierarchy: %+v", name, got)
-			}
-		})
-	}
-}
-
 // TestPredictTargetBoundaries pins the shared wrap detector at the exact
 // edges every scheme funnels through.
 func TestPredictTargetBoundaries(t *testing.T) {
@@ -123,5 +84,66 @@ func TestPredictTargetBoundaries(t *testing.T) {
 		if ok && got != tc.addr+uint64(tc.delta) {
 			t.Errorf("predictTarget(%#x, %d) = %#x", tc.addr, tc.delta, got)
 		}
+	}
+}
+
+// trainSink keeps BenchmarkTrain's predictions live.
+var trainSink uint64
+
+// BenchmarkTrain times Train per scheme over a fixed stream of 48 pcs,
+// interleaved round-robin: line strides, a +64/+192 period-2 sequence,
+// 8-byte sub-line strides and random addresses, a quarter each. The pcs
+// are random 64-bit values like the machine's hashed load pcs, so some of
+// the default table's sets overflow and both tables and the tracker deque
+// replace entries.
+func BenchmarkTrain(b *testing.B) {
+	const pcs, rounds = 48, 64
+	rng := uint64(0x9E3779B97F4A7C15)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	var pc, addr [pcs]uint64
+	for i := range pc {
+		pc[i] = next()
+		addr[i] = 0x1000_0000 + uint64(i)<<20
+	}
+	type access struct{ pc, addr uint64 }
+	stream := make([]access, 0, pcs*rounds)
+	for r := 0; r < rounds; r++ {
+		for i := range pc {
+			switch i % 4 {
+			case 0:
+				addr[i] += 64
+			case 1:
+				addr[i] += 64 + 128*uint64(r%2)
+			case 2:
+				addr[i] += 8
+			case 3:
+				addr[i] = 0x1000_0000 + next()%(1<<30)
+			}
+			stream = append(stream, access{pc[i], addr[i]})
+		}
+	}
+	for _, scheme := range Schemes() {
+		b.Run(scheme, func(b *testing.B) {
+			p, err := NewScheme(scheme, Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for _, a := range stream {
+					t, _ := p.Train(a.pc, a.addr)
+					trainSink += t
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/train")
+			if p.Counters().Replaced == 0 {
+				b.Errorf("%s replaced no entry; the stream does not pressure its table", scheme)
+			}
+		})
 	}
 }

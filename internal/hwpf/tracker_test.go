@@ -3,51 +3,25 @@ package hwpf
 import "testing"
 
 // TestTrackerStrideMatchIssues pins the tracker's reaction time: a single
-// stride confirmation (two equal consecutive line deltas) issues, so a
-// constant-stride stream first issues on its third access.
+// stride confirmation (two equal consecutive line deltas) predicts, so a
+// constant-stride stream first predicts on its third access, distance
+// lines ahead.
 func TestTrackerStrideMatchIssues(t *testing.T) {
-	p := NewTracker(Config{})
-	h := newHier()
-	base := uint64(0x40_000)
-	for i := 0; i < 3; i++ {
-		p.Observe(5, base+uint64(i)*64, h, uint64(i*10))
-		if i < 2 && p.Issued != 0 {
-			t.Fatalf("issued %d before the stride was confirmed", p.Issued)
-		}
-	}
-	if p.Issued != 1 {
-		t.Fatalf("issued %d after the first stride match, want 1", p.Issued)
-	}
-	if p.StrideMatches != 1 {
-		t.Errorf("StrideMatches = %d, want 1", p.StrideMatches)
-	}
-	// The prediction is line-granular: Distance lines ahead of access 3.
-	want := base + 2*64 + 4*64
-	if lat := h.Load(want, 1_000_000); lat >= h.Config().MemLatency {
-		t.Errorf("predicted line %#x not prefetched (latency %d)", want, lat)
-	}
+	const base = uint64(0x40_000)
+	got := trainAll(mustScheme(t, "tracker", Config{}), 5, walk(base, 64, 3))
+	checkPredictions(t, got, []prediction{none, none, at(base + 2*64 + 4*64)})
 }
 
 // TestTrackerUsefulFeedback pins the local issued/useful accounting: on an
-// N-access stride stream, issues run from access 3 (N-2 of them) and the
-// demands at accesses 7..N credit exactly N-6 of them as Useful.
+// N-access stride stream, predictions run from access 3 (N-2 of them) and
+// the demands at accesses 7..N credit exactly N-6 of them as Useful.
 func TestTrackerUsefulFeedback(t *testing.T) {
 	const n = 50
-	p := NewTracker(Config{})
-	h := newHier()
-	base := uint64(0x50_000)
-	for i := 0; i < n; i++ {
-		p.Observe(5, base+uint64(i)*64, h, uint64(i*10))
-	}
-	if p.Issued != n-2 {
-		t.Errorf("Issued = %d, want %d", p.Issued, n-2)
-	}
-	if p.Useful != n-6 {
-		t.Errorf("Useful = %d, want %d", p.Useful, n-6)
-	}
-	c := p.Counters()
-	if c.Issued != p.Issued || c.Useful != p.Useful || c.Replaced != p.Evictions {
-		t.Errorf("Counters() = %+v does not mirror the tracker statistics", c)
+	p := mustScheme(t, "tracker", Config{})
+	addrs := walk(0x50_000, 64, n)
+	checkPredictions(t, trainAll(p, 5, addrs), strideWant(addrs, 64))
+	if c := p.Counters(); c.Issued != n-2 || c.Useful != n-6 {
+		t.Errorf("Issued = %d, Useful = %d, want %d, %d", c.Issued, c.Useful, n-2, n-6)
 	}
 }
 
@@ -56,75 +30,57 @@ func TestTrackerUsefulFeedback(t *testing.T) {
 // occasional one, never two equal non-zero deltas in a row, so the demand
 // stream (which already fetches each line) is left alone.
 func TestTrackerSubLineStrideNeverTriggers(t *testing.T) {
-	p := NewTracker(Config{})
-	h := newHier()
-	base := uint64(0x60_000)
-	for i := 0; i < 100; i++ {
-		p.Observe(5, base+uint64(i)*8, h, uint64(i*10))
-	}
-	if p.Issued != 0 {
-		t.Errorf("issued %d prefetches for a sub-line (8-byte) stride", p.Issued)
-	}
-	if p.StrideMatches != 0 {
-		t.Errorf("StrideMatches = %d for a sub-line stride, want 0", p.StrideMatches)
-	}
+	addrs := walk(0x60_000, 8, 100)
+	checkPredictions(t, trainAll(mustScheme(t, "tracker", Config{}), 5, addrs), make([]prediction, len(addrs)))
 }
 
-// TestTrackerDequeEviction pins the bounded-deque behaviour: more live pcs
-// than trackers thrash the deque, every access misses, and evictions are
-// counted.
+// TestTrackerDequeEviction pins the bounded-deque behaviour: 32 live pcs
+// thrash the 16 trackers, every access misses and inserts, and every
+// insert past the first 16 evicts.
 func TestTrackerDequeEviction(t *testing.T) {
-	p := NewTracker(Config{Trackers: 4})
-	h := newHier()
-	for round := 0; round < 3; round++ {
-		for pc := uint64(0); pc < 8; pc++ {
-			p.Observe(pc, 0x1000*(pc+1), h, pc)
+	const rounds = 3
+	p := mustScheme(t, "tracker", Config{})
+	for round := 0; round < rounds; round++ {
+		for pc := uint64(0); pc < 32; pc++ {
+			checkPredictions(t, trainAll(p, pc, []uint64{0x1000 * (pc + 1)}), []prediction{none})
 		}
 	}
-	if p.Hits != 0 {
-		t.Errorf("Hits = %d while 8 pcs thrash 4 trackers, want 0", p.Hits)
+	if got := p.Counters().Replaced; got != 32*rounds-trackers {
+		t.Errorf("Replaced = %d, want %d", got, 32*rounds-trackers)
 	}
-	if p.Evictions == 0 {
-		t.Error("no evictions recorded")
-	}
-	if len(p.deq) != 4 {
-		t.Errorf("deque grew to %d entries, bound is 4", len(p.deq))
+	if n := len(p.(*tracker).deq); n != trackers {
+		t.Errorf("deque grew to %d entries, bound is %d", n, trackers)
 	}
 }
 
 // TestTrackerMRUOrderSurvivesPressure pins the deque policy: a pc touched
-// every round stays resident (hits) while colder pcs churn the back.
+// every round stays resident while colder pcs churn the back.
 func TestTrackerMRUOrderSurvivesPressure(t *testing.T) {
-	p := NewTracker(Config{Trackers: 4})
-	h := newHier()
+	const hotBase = uint64(0x9_0000)
+	p := mustScheme(t, "tracker", Config{})
 	for round := uint64(0); round < 6; round++ {
-		p.Observe(99, 0x9_0000+round*64, h, round)
-		// Three cold pcs per round, fresh each time, fill the other slots.
-		for j := uint64(0); j < 3; j++ {
-			p.Observe(100+round*3+j, 0x1000, h, round)
+		// The hot pc hits every round after its insert, confirms its stride
+		// on its third access and predicts from then on.
+		want := none
+		if round >= 2 {
+			want = at(hotBase + (round+4)*64)
 		}
-	}
-	// The hot pc hits every round after its insert, confirms its stride and
-	// issues from its third access on.
-	if p.Issued == 0 {
-		t.Error("hot pc was evicted by cold pcs despite MRU ordering")
+		checkPredictions(t, trainAll(p, 99, []uint64{hotBase + round*64}), []prediction{want})
+		// Fifteen cold pcs per round, fresh each time, fill the other slots.
+		for j := uint64(0); j < trackers-1; j++ {
+			p.Train(100+round*trackers+j, 0x1000)
+		}
 	}
 }
 
 // TestTrackerWrapNearZeroCountedNotIssued is the wrap boundary at line
 // granularity: a downward walk whose line-granular prediction crosses zero
-// must count Wrapped and issue nothing.
+// must count Wrapped and predict nothing.
 func TestTrackerWrapNearZeroCountedNotIssued(t *testing.T) {
-	p := NewTracker(Config{})
-	h := newHier()
+	p := mustScheme(t, "tracker", Config{})
 	// Lines 4, 3, 2: the match at line 2 predicts line 2-4, past zero.
-	for i, a := range []uint64{0x100, 0xc0, 0x80} {
-		p.Observe(1, a, h, uint64(i*10))
-	}
-	if p.Wrapped != 1 {
-		t.Errorf("Wrapped = %d, want 1", p.Wrapped)
-	}
-	if p.Issued != 0 {
-		t.Errorf("Issued = %d, want 0 (the only prediction wrapped)", p.Issued)
+	checkPredictions(t, trainAll(p, 1, []uint64{0x100, 0xc0, 0x80}), []prediction{none, none, none})
+	if c := p.Counters(); c.Wrapped != 1 || c.Issued != 0 {
+		t.Errorf("Wrapped = %d, Issued = %d, want 1, 0", c.Wrapped, c.Issued)
 	}
 }

@@ -27,17 +27,17 @@ import (
 // record every demand load, store, speculative load and software prefetch
 // into one block of laneBlock references, and each such lane replays the
 // block at its own clock, so it makes exactly the call sequence a
-// standalone run would: Load/Store/PrefetchClass(addr, now), then the
-// prefetcher's Observe(pc, addr, hier, now+lat). Hook charges to such a
-// lane enter the block too, between the references around them. A replay
-// runs when the block fills, when a lane's hook reads the lane's clock and
-// when Run ends, however it ends; Lanes and FinishObs therefore see every
-// lane up to date. When no prefetch can ever be in flight — no
-// hardware prefetcher on the machine or the lane, no enabled OpPrefetch in
-// the program, no lane collector, and a hierarchy config equal to the
-// primary's — every demand latency is independent of time. The lane then
-// shares the primary's hierarchy and counters and stays out of the
-// recording; only its hooks set it apart.
+// standalone run would: Load/Store/PrefetchClass(addr, now), and after a
+// program load the prefetcher's Train(pc, addr), whose target it
+// prefetches at now+lat. Hook charges to such a lane enter the block too,
+// between the references around them. A replay runs when the block fills,
+// when a lane's hook reads the lane's clock and when Run ends, however it
+// ends; Lanes and FinishObs therefore see every lane up to date. When no
+// prefetch can ever be in flight — no hardware prefetcher on the machine
+// or the lane, no enabled OpPrefetch in the program, no lane collector,
+// and a hierarchy config equal to the primary's — every demand latency is
+// independent of time. The lane then shares the primary's hierarchy and
+// counters and stays out of the recording; only its hooks set it apart.
 type Lane struct {
 	// Hierarchy is the lane's cache configuration; the zero value selects
 	// cache.ItaniumConfig.
@@ -93,7 +93,7 @@ const laneBlock = 16384
 
 // Record kinds of the fan-out stream.
 const (
-	recLoad     uint8 = iota // a program load: Load, then the lane prefetcher's Observe
+	recLoad     uint8 = iota // a program load: Load, then the lane prefetcher's Train
 	recSpecLoad              // a speculative load: Load only
 	recStore
 	recPrefetch // a software prefetch of class rec.class
@@ -220,9 +220,9 @@ func (m *Machine) record(r laneRec) {
 // empties it. For each reference a lane issues at its own clock (the
 // primary's at issue plus the lane's skew), moves its skew by the
 // difference between its latency and the primary's, and after a program
-// load feeds its prefetcher at the lane's completion time. The block is
-// emptied first, so a divergence panic raised by a lane's shadow model
-// cannot leave it to be replayed twice.
+// load trains its prefetcher and prefetches the target at the lane's
+// completion time. The block is emptied first, so a divergence panic
+// raised by a lane's shadow model cannot leave it to be replayed twice.
 func (m *Machine) replay() {
 	recs := m.recs
 	m.recs = m.recs[:0]
@@ -237,7 +237,9 @@ func (m *Machine) replay() {
 				lat := uint64(h.Load(r.addr, t))
 				skew += lat - r.lat
 				if pf != nil {
-					pf.Observe(r.pc, r.addr, h, t+lat)
+					if tgt, ok := pf.Train(r.pc, r.addr); ok {
+						h.PrefetchClass(tgt, t+lat, obs.ClassHW)
+					}
 				}
 			case recSpecLoad:
 				skew += uint64(h.Load(r.addr, t)) - r.lat

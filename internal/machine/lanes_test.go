@@ -191,7 +191,7 @@ func TestLaneUnboundHookFailsUpfront(t *testing.T) {
 
 type nopPrefetcher struct{}
 
-func (nopPrefetcher) Observe(uint64, uint64, *cache.Hierarchy, uint64) {}
+func (nopPrefetcher) Train(uint64, uint64) (uint64, bool) { return 0, false }
 
 // TestLaneSharesHierarchyOnlyWithoutPrefetch pins the sharing rule: a lane
 // shares the primary's hierarchy, and stays out of the access fan-out,

@@ -28,12 +28,13 @@ import (
 // measurements.
 type HookFunc func(m *Machine, args []int64)
 
-// HWPrefetcher is a hardware prefetcher observing the demand-load stream
-// (e.g. the reference-prediction-table prefetcher in package hwpf). pc is a
-// stable per-static-load identifier playing the role of the load's program
-// counter.
+// HWPrefetcher is a hardware prefetcher trained on the demand-load stream
+// (e.g. the schemes of package hwpf). pc is a stable per-static-load
+// identifier playing the role of the load's program counter. Train returns
+// the address to prefetch, if any; the machine issues it under
+// obs.ClassHW at the load's completion time.
 type HWPrefetcher interface {
-	Observe(pc uint64, addr uint64, hier *cache.Hierarchy, now uint64)
+	Train(pc, addr uint64) (target uint64, ok bool)
 }
 
 // Config parameterises a machine.
@@ -51,7 +52,7 @@ type Config struct {
 	// Seed seeds the OpRand generator.
 	Seed uint64
 	// NewHWPrefetch, when non-nil, constructs at New time the hardware
-	// prefetcher model (such as hwpf.RPT) that observes every demand load.
+	// prefetcher model (such as a hwpf scheme) trained on every demand load.
 	// It is a factory rather than an instance because predictor state is
 	// per-run: the experiment session hands one shared Config to many
 	// concurrently built machines, and a stateful table shared across them

@@ -14,11 +14,11 @@ import (
 // and then, when the group ends its block, takes the block's branch;
 // compare+branch pairs run as the xCmpBr superinstruction, and every
 // compare evaluates its truth table with cmp. Observers attach inside the
-// memory handlers: the hardware prefetcher's Observe after each demand
-// load, the record of the lane fan-out beside every hierarchy access (see
-// replay), and the obs collector and shadow models inside the hierarchy and
-// memory themselves; lanes' hooks run inside the bound hook itself (see
-// laneHook).
+// memory handlers: the hardware prefetcher's Train, and the prefetch of its
+// target, after each demand load, the record of the lane fan-out beside
+// every hierarchy access (see replay), and the obs collector and shadow
+// models inside the hierarchy and memory themselves; lanes' hooks run
+// inside the bound hook itself (see laneHook).
 // Traced and pair-profiled runs execute the exact translation, which the
 // fused one must match bit for bit — cycles, statistics, registers, memory,
 // per-load counts, error identity — as the tests in fused_test.go and
@@ -175,7 +175,9 @@ blocks:
 				m.stats.LoadRefs++
 				c.loadCount[x.loadSlot]++
 				if m.pf != nil {
-					m.pf.Observe(c.loadPCs[x.loadSlot], addr, m.Hier, cycles)
+					if t, ok := m.pf.Train(c.loadPCs[x.loadSlot], addr); ok {
+						m.Hier.PrefetchClass(t, cycles, obs.ClassHW)
+					}
 				}
 			case xSpecLoad:
 				// Speculative load: non-faulting and excluded from per-load

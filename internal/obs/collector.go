@@ -47,63 +47,73 @@ func NewCollector(trace *Trace) *Collector { return &Collector{trace: trace} }
 // Trace returns the attached event sink, or nil.
 func (c *Collector) Trace() *Trace { return c.trace }
 
-// Emit forwards an event to the attached trace sink, if any. The hierarchy,
-// the stride runtime and the hardware prefetcher all funnel through here so
-// sampling and bounding are applied uniformly.
+// Emit forwards an event to the attached trace sink, if any. The hierarchy
+// and the stride runtime funnel through here (the lifecycle methods below
+// through emit) so sampling and bounding are applied uniformly.
 func (c *Collector) Emit(ev TraceEvent) {
 	if c != nil && c.trace != nil {
 		c.trace.Emit(ev)
 	}
 }
 
+// emit traces one prefetch-lifecycle event. It returns before building the
+// event when no trace is attached, which is the case on every run without
+// a trace sink.
+func (c *Collector) emit(kind string, class Class, addr, now uint64) {
+	if c.trace == nil {
+		return
+	}
+	c.trace.Emit(TraceEvent{Cycle: now, Kind: kind, Class: class.String(), Addr: addr})
+}
+
 // PrefetchIssued records a prefetch entering the in-flight table.
 func (c *Collector) PrefetchIssued(class Class, addr, now uint64) {
 	c.Classes[class].Issued++
-	c.Emit(TraceEvent{Cycle: now, Kind: "pf-issue", Class: class.String(), Addr: addr})
+	c.emit("pf-issue", class, addr, now)
 }
 
 // PrefetchRedundant records a prefetch dropped because its line was already
 // resident or already in flight.
 func (c *Collector) PrefetchRedundant(class Class, addr, now uint64) {
 	c.Classes[class].Redundant++
-	c.Emit(TraceEvent{Cycle: now, Kind: "pf-redundant", Class: class.String(), Addr: addr})
+	c.emit("pf-redundant", class, addr, now)
 }
 
 // PrefetchDroppedTLB records a prefetch dropped on a TLB miss.
 func (c *Collector) PrefetchDroppedTLB(class Class, addr, now uint64) {
 	c.Classes[class].DroppedTLB++
-	c.Emit(TraceEvent{Cycle: now, Kind: "pf-drop-tlb", Class: class.String(), Addr: addr})
+	c.emit("pf-drop-tlb", class, addr, now)
 }
 
 // PrefetchDroppedMSHR records a prefetch dropped because the in-flight
 // table was full.
 func (c *Collector) PrefetchDroppedMSHR(class Class, addr, now uint64) {
 	c.Classes[class].DroppedMSHR++
-	c.Emit(TraceEvent{Cycle: now, Kind: "pf-drop-mshr", Class: class.String(), Addr: addr})
+	c.emit("pf-drop-mshr", class, addr, now)
 }
 
 // DemandUseful records a demand access served by a completed prefetch.
 func (c *Collector) DemandUseful(class Class, addr, now uint64) {
 	c.Classes[class].Useful++
-	c.Emit(TraceEvent{Cycle: now, Kind: "pf-useful", Class: class.String(), Addr: addr})
+	c.emit("pf-useful", class, addr, now)
 }
 
 // DemandLate records a demand access that hit a still-in-flight line.
 func (c *Collector) DemandLate(class Class, addr, now uint64) {
 	c.Classes[class].Late++
-	c.Emit(TraceEvent{Cycle: now, Kind: "pf-late", Class: class.String(), Addr: addr})
+	c.emit("pf-late", class, addr, now)
 }
 
 // EvictedUnused records a prefetched line evicted from L1 untouched.
 func (c *Collector) EvictedUnused(class Class, addr, now uint64) {
 	c.Classes[class].EvictedUnused++
-	c.Emit(TraceEvent{Cycle: now, Kind: "pf-evicted-unused", Class: class.String(), Addr: addr})
+	c.emit("pf-evicted-unused", class, addr, now)
 }
 
 // Harmful records a demand miss on a line evicted by a prefetch fill.
 func (c *Collector) Harmful(class Class, addr, now uint64) {
 	c.Classes[class].Harmful++
-	c.Emit(TraceEvent{Cycle: now, Kind: "pf-harmful", Class: class.String(), Addr: addr})
+	c.emit("pf-harmful", class, addr, now)
 }
 
 // UncoveredMiss records a demand L1 miss served with no prefetch help.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 
 	"stridepf/internal/cache"
@@ -48,6 +49,57 @@ func schemeFactory(scheme string) func() machine.HWPrefetcher {
 	}
 }
 
+// recorder wraps a prefetcher and logs every Train call with its result.
+type recorder struct {
+	hwpf.Prefetcher
+	log []training
+}
+
+// training is one Train call: its arguments and its prediction.
+type training struct {
+	pc, addr, target uint64
+	ok               bool
+}
+
+func (r *recorder) Train(pc, addr uint64) (uint64, bool) {
+	t, ok := r.Prefetcher.Train(pc, addr)
+	r.log = append(r.log, training{pc, addr, t, ok})
+	return t, ok
+}
+
+// purity checks that a scheme's predictions depend on the load stream
+// alone: every run that carries the scheme, on any hierarchy, as a lane or
+// standalone, records the sequence the first one did, and a fresh instance
+// trained offline on it predicts the same and ends with the same counters.
+type purity map[string][]training
+
+func (p purity) check(what, scheme string, pf machine.HWPrefetcher) error {
+	rec, ok := pf.(*recorder)
+	if !ok {
+		return nil
+	}
+	if first, seen := p[scheme]; !seen {
+		p[scheme] = rec.log
+	} else if !slices.Equal(rec.log, first) {
+		return fmt.Errorf("%s: %s recorded %d trainings that differ from its first run's %d",
+			what, scheme, len(rec.log), len(first))
+	}
+	fresh, err := hwpf.NewScheme(scheme, hwpf.Config{})
+	if err != nil {
+		return err
+	}
+	for i, tr := range rec.log {
+		if t, ok := fresh.Train(tr.pc, tr.addr); t != tr.target || ok != tr.ok {
+			return fmt.Errorf("%s: %s training %d (%#x, %#x) predicted (%#x, %v) in the run, (%#x, %v) offline",
+				what, scheme, i, tr.pc, tr.addr, tr.target, tr.ok, t, ok)
+		}
+	}
+	if got, want := fresh.Counters(), rec.Counters(); got != want {
+		return fmt.Errorf("%s: %s counters %+v in the run, %+v offline", what, scheme, want, got)
+	}
+	return nil
+}
+
 // laneRun is one memory system's observable account of a run: machine
 // statistics (its own cycles), hierarchy counters, scheme counters and the
 // closed collector.
@@ -75,8 +127,10 @@ func accountOf(st machine.Stats, h *cache.Hierarchy, pf machine.HWPrefetcher, co
 // its configuration on its own machine: statistics including cycles,
 // hierarchy counters, scheme counters and the collector after FinishObs
 // (deep-equal, reconciled). The lane run is repeated under the shadow
-// models. The hooked half (checkHookedLanes) then profiles the program
-// with a stride runtime per lane.
+// models. Every prefetcher records its trainings, which must not depend
+// on the hierarchy, the run or the lane (see purity). The hooked half
+// (checkHookedLanes) then profiles the program with a stride runtime per
+// lane.
 //
 // Generated programs make at most a few thousand memory references, fewer
 // than one block of the lanes' record-and-replay (16384 records, DESIGN.md
@@ -111,11 +165,21 @@ func checkMemoryLanes(name string, prog *ir.Program) error {
 			cfgs = append(cfgs, config{hier: h, scheme: s})
 		}
 	}
+	recording := func(scheme string) func() machine.HWPrefetcher {
+		if scheme == "" {
+			return nil
+		}
+		return func() machine.HWPrefetcher {
+			p, _ := hwpf.NewScheme(scheme, hwpf.Config{})
+			return &recorder{Prefetcher: p}
+		}
+	}
+	pure := purity{}
 	want := make([]laneRun, len(cfgs))
 	for i, c := range cfgs {
 		col := obs.NewCollector(nil)
 		m, err := machine.New(prog, machine.WithHierarchy(c.hier),
-			machine.WithHWPrefetchFactory(schemeFactory(c.scheme)), machine.WithObs(col))
+			machine.WithHWPrefetchFactory(recording(c.scheme)), machine.WithObs(col))
 		if err != nil {
 			return err
 		}
@@ -126,6 +190,9 @@ func checkMemoryLanes(name string, prog *ir.Program) error {
 		if err := col.Reconcile(); err != nil {
 			return fmt.Errorf("%s: standalone run %d (%s): %w", name, i, c.scheme, err)
 		}
+		if err := pure.check(fmt.Sprintf("%s: standalone run %d", name, i), c.scheme, m.HWPrefetch()); err != nil {
+			return err
+		}
 		want[i] = accountOf(m.Stats(), m.Hier, m.HWPrefetch(), col)
 	}
 
@@ -134,7 +201,7 @@ func checkMemoryLanes(name string, prog *ir.Program) error {
 		var lanes []machine.Lane
 		for _, c := range cfgs[1:] {
 			lanes = append(lanes, machine.Lane{Hierarchy: c.hier,
-				NewHWPrefetch: schemeFactory(c.scheme), Obs: obs.NewCollector(nil)})
+				NewHWPrefetch: recording(c.scheme), Obs: obs.NewCollector(nil)})
 		}
 		opts := []machine.Option{machine.WithHierarchy(cfgs[0].hier), machine.WithObs(pcol), machine.WithLanes(lanes...)}
 		if checked {
@@ -150,6 +217,10 @@ func checkMemoryLanes(name string, prog *ir.Program) error {
 		m.FinishObs()
 		got := []laneRun{accountOf(m.Stats(), m.Hier, m.HWPrefetch(), pcol)}
 		for i, v := range m.Lanes() {
+			what := fmt.Sprintf("%s: lane %d (self-check %v)", name, i+1, checked)
+			if err := pure.check(what, cfgs[i+1].scheme, v.HWPrefetch); err != nil {
+				return err
+			}
 			if err := lanes[i].Obs.Reconcile(); err != nil {
 				return fmt.Errorf("%s: lane %d: %w", name, i+1, err)
 			}
