@@ -13,7 +13,7 @@ GO ?= go
 
 .PHONY: check check-deep vet build test race race-full golden fuzz-smoke simcheck \
 	arena paths bench bench-json bench-pairs figures metrics serve smoke-serve \
-	chaos chaos-replay converge walsoak clean
+	chaos chaos-replay converge walsoak lines clean
 
 # The benchmark is a module of its own (e2ebench/go.mod), so its tests run
 # from its directory.
@@ -182,6 +182,13 @@ walsoak:
 metrics:
 	$(GO) run ./cmd/experiments -figure 16 -metrics metrics.json \
 		-trace trace.jsonl -trace-sample 64
+
+# Go line counts outside the end-to-end benchmark (e2ebench/) and the
+# directory its builds leave (.bench_build/): non-test files, then all.
+GO_FILES = find . -name '*.go' -not -path './e2ebench/*' -not -path './.bench_build/*'
+lines:
+	@echo "non-test Go lines: $$($(GO_FILES) -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "all Go lines: $$($(GO_FILES) | xargs cat | wc -l)"
 
 clean:
 	$(GO) clean ./...

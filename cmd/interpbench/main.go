@@ -43,6 +43,7 @@ import (
 	"strings"
 	"time"
 
+	"stridepf/internal/core"
 	"stridepf/internal/instrument"
 	"stridepf/internal/machine"
 	"stridepf/internal/workloads"
@@ -266,29 +267,15 @@ func runPairProfile(w *os.File) error {
 		prog := wl.Program()
 		in := wl.Train()
 
-		m, err := machine.New(prog, machine.WithPairProfile(pp))
-		if err != nil {
-			return fmt.Errorf("%s: %w", wl.Name(), err)
+		if _, err := core.Execute(prog, wl, in, machine.Config{PairProfile: pp}); err != nil {
+			return err
 		}
-		wl.Setup(m, in)
-		if _, err := m.Run(); err != nil {
-			return fmt.Errorf("%s/%s: %w", wl.Name(), in.Name, err)
-		}
-
 		res, err := instrument.Instrument(prog, instrument.Options{Method: instrument.NaiveAll})
 		if err != nil {
 			return fmt.Errorf("%s: instrument: %w", wl.Name(), err)
 		}
-		mi, err := machine.New(res.Prog, machine.WithPairProfile(pp))
-		if err != nil {
-			return fmt.Errorf("%s: %w", wl.Name(), err)
-		}
-		if res.Runtime != nil {
-			res.Runtime.Register(mi)
-		}
-		wl.Setup(mi, in)
-		if _, err := mi.Run(); err != nil {
-			return fmt.Errorf("%s/%s instrumented: %w", wl.Name(), in.Name, err)
+		if _, err := core.Execute(res.Prog, wl, in, machine.Config{PairProfile: pp, Hooks: res.Hooks()}); err != nil {
+			return fmt.Errorf("instrumented: %w", err)
 		}
 	}
 

@@ -85,7 +85,7 @@ func run(argv []string, out io.Writer) error {
 	if *trace {
 		cfg.Trace = out
 	}
-	m, err := machine.New(prog, machine.WithConfig(cfg))
+	m, err := machine.New(prog, cfg)
 	if err != nil {
 		return err
 	}

@@ -20,13 +20,13 @@ import (
 	"io"
 	"os"
 
+	"stridepf/internal/core"
 	"stridepf/internal/instrument"
 	"stridepf/internal/ir"
 	"stridepf/internal/machine"
 	"stridepf/internal/mc"
 	"stridepf/internal/opt"
 	"stridepf/internal/prefetch"
-	"stridepf/internal/profile"
 )
 
 func run(argv []string, out io.Writer) error {
@@ -71,7 +71,7 @@ func run(argv []string, out io.Writer) error {
 		return runPGO(prog, *method, *indirect, out)
 	}
 	if *runIt || *stats {
-		m, err := machine.New(prog)
+		m, err := machine.New(prog, machine.Config{})
 		if err != nil {
 			return err
 		}
@@ -89,37 +89,31 @@ func run(argv []string, out io.Writer) error {
 	return nil
 }
 
+// mcWorkload is a self-contained mc program as a core.Workload: it builds
+// its own data (via alloc), so Setup writes nothing and both inputs are
+// empty, and the PGO mode profiles and measures the same execution.
+type mcWorkload struct{ prog *ir.Program }
+
+func (mcWorkload) Name() string                       { return "mc" }
+func (mcWorkload) Description() string                { return "mc program" }
+func (w mcWorkload) Program() *ir.Program             { return w.prog }
+func (mcWorkload) Setup(*machine.Machine, core.Input) {}
+func (mcWorkload) Train() core.Input                  { return core.Input{} }
+func (mcWorkload) Ref() core.Input                    { return core.Input{} }
+
 // runPGO performs instrument -> profile -> feedback -> measure on a
 // self-contained program.
 func runPGO(prog *ir.Program, method string, indirect bool, out io.Writer) error {
-	var m instrument.Method
-	switch method {
-	case "edge-check":
-		m = instrument.EdgeCheck
-	case "naive-loop":
-		m = instrument.NaiveLoop
-	case "naive-all":
-		m = instrument.NaiveAll
-	default:
+	m, _ := instrument.ParseMethod(method)
+	if m != instrument.EdgeCheck && m != instrument.NaiveLoop && m != instrument.NaiveAll {
 		return fmt.Errorf("unknown method %q", method)
 	}
-
-	inst, err := instrument.Instrument(prog, instrument.Options{Method: m})
+	w := mcWorkload{prog}
+	pr, err := core.ProfilePass(w, w.Train(), instrument.Options{Method: m}, machine.Config{})
 	if err != nil {
 		return err
 	}
-	pm, err := machine.New(inst.Prog)
-	if err != nil {
-		return err
-	}
-	inst.Runtime.Register(pm)
-	if _, err := pm.Run(); err != nil {
-		return err
-	}
-	prof := &profile.Combined{
-		Edge:   inst.ExtractEdgeProfile(pm),
-		Stride: profile.NewStrideProfile(inst.StrideSummaries()),
-	}
+	prof := pr.Profiles
 	fmt.Fprintf(out, "profiled %d loads\n", prof.Stride.Len())
 	for _, s := range prof.Stride.Summaries() {
 		if s.TotalStrides == 0 || len(s.TopStrides) == 0 {
@@ -132,42 +126,22 @@ func runPGO(prog *ir.Program, method string, indirect bool, out io.Writer) error
 			100*float64(s.ZeroDiffs)/float64(s.TotalStrides))
 	}
 
-	fb, err := prefetch.Apply(prog, prof, prefetch.Options{EnableIndirect: indirect})
+	sp, err := core.MeasureSpeedup(w, w.Ref(), prof, prefetch.Options{EnableIndirect: indirect}, machine.Config{})
 	if err != nil {
 		return err
 	}
-	if fb.IndirectInserted > 0 {
-		fmt.Fprintf(out, "%d indirect (dependent-load) prefetches inserted\n", fb.IndirectInserted)
+	if n := sp.Feedback.IndirectInserted; n > 0 {
+		fmt.Fprintf(out, "%d indirect (dependent-load) prefetches inserted\n", n)
 	}
-	for _, d := range fb.Decisions {
+	for _, d := range sp.Feedback.Decisions {
 		if d.K > 0 {
 			fmt.Fprintf(out, "prefetching %s#%d: %s stride=%d K=%d\n",
 				d.Key.Func, d.Key.ID, d.Class, d.Stride, d.K)
 		}
 	}
-
-	runOne := func(p *ir.Program) (int64, uint64, error) {
-		mm, err := machine.New(p)
-		if err != nil {
-			return 0, 0, err
-		}
-		v, err := mm.Run()
-		return v, mm.Stats().Cycles, err
-	}
-	baseRet, baseCyc, err := runOne(prog)
-	if err != nil {
-		return err
-	}
-	pfRet, pfCyc, err := runOne(fb.Prog)
-	if err != nil {
-		return err
-	}
-	if baseRet != pfRet {
-		return fmt.Errorf("prefetched binary diverged: %d vs %d", pfRet, baseRet)
-	}
-	fmt.Fprintf(out, "base:       %d cycles\n", baseCyc)
-	fmt.Fprintf(out, "prefetched: %d cycles\n", pfCyc)
-	fmt.Fprintf(out, "speedup:    %.3fx\n", float64(baseCyc)/float64(pfCyc))
+	fmt.Fprintf(out, "base:       %d cycles\n", sp.Base.Stats.Cycles)
+	fmt.Fprintf(out, "prefetched: %d cycles\n", sp.Prefetched.Stats.Cycles)
+	fmt.Fprintf(out, "speedup:    %.3fx\n", sp.Speedup)
 	return nil
 }
 

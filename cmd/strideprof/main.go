@@ -24,10 +24,10 @@ import (
 
 	"stridepf/internal/client"
 	"stridepf/internal/core"
+	"stridepf/internal/experiments"
 	"stridepf/internal/instrument"
 	"stridepf/internal/ir"
 	"stridepf/internal/machine"
-	"stridepf/internal/stride"
 	"stridepf/internal/workloads"
 )
 
@@ -123,14 +123,9 @@ func run(argv []string, out io.Writer) error {
 	return nil
 }
 
-// sampleMethods are the schemes the sampled-stride variant is defined for
-// (Section 4.3's bursty sampling of the check methods).
-var sampleMethods = []instrument.Method{
-	instrument.EdgeCheck, instrument.NaiveLoop, instrument.NaiveAll,
-}
-
-// methodUsage derives the flag help from the instrument registry so a new
-// scheme shows up here without editing this file.
+// methodUsage derives the flag help from the instrument registry and the
+// paper's sampled variants (experiments.PaperMethods), so a new scheme
+// shows up here without editing this file.
 func methodUsage() string {
 	var names []string
 	for _, m := range instrument.Methods() {
@@ -139,33 +134,30 @@ func methodUsage() string {
 		}
 		names = append(names, m.String())
 	}
-	for _, m := range sampleMethods {
-		names = append(names, "sample-"+m.String())
+	for _, pm := range experiments.PaperMethods() {
+		if strings.HasPrefix(pm.Name, "sample-") {
+			names = append(names, pm.Name)
+		}
 	}
 	return strings.Join(names, ", ")
 }
 
+// methodOptions resolves a method name: a paper method (the sampled
+// variants included) as the figures run it, else an instrument method.
 func methodOptions(name string) (instrument.Options, error) {
-	base, sampled := strings.CutPrefix(name, "sample-")
-	m, ok := instrument.ParseMethod(base)
+	for _, pm := range experiments.PaperMethods() {
+		if pm.Name == name {
+			return pm.Opts, nil
+		}
+	}
+	m, ok := instrument.ParseMethod(name)
 	if !ok {
 		return instrument.Options{}, fmt.Errorf("unknown method %q (want one of %s)", name, methodUsage())
 	}
 	if m == instrument.TwoPass {
 		return instrument.Options{}, fmt.Errorf("method %q needs a first-pass edge profile; use the experiments driver", name)
 	}
-	opts := instrument.Options{Method: m}
-	if sampled {
-		okSample := false
-		for _, sm := range sampleMethods {
-			okSample = okSample || sm == m
-		}
-		if !okSample {
-			return instrument.Options{}, fmt.Errorf("no sampled variant of %q", base)
-		}
-		opts.Stride = stride.Config{FineInterval: 4, ChunkSkip: 1200, ChunkProfile: 300}
-	}
-	return opts, nil
+	return instrument.Options{Method: m}, nil
 }
 
 func main() {

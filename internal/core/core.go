@@ -23,7 +23,6 @@ import (
 	"stridepf/internal/machine"
 	"stridepf/internal/prefetch"
 	"stridepf/internal/profile"
-	"stridepf/internal/stride"
 )
 
 // Input selects a workload input data set. Scale controls the data-set
@@ -88,20 +87,32 @@ type RunStats struct {
 // an instrumented clone or a prefetched clone (their instruction IDs all
 // agree).
 func Execute(prog *ir.Program, w Workload, in Input, mcfg machine.Config) (RunStats, error) {
-	m, err := machine.New(prog, machine.WithConfig(mcfg))
+	_, rs, err := run(prog, w, in, mcfg)
 	if err != nil {
-		return RunStats{}, err
+		return RunStats{}, fmt.Errorf("core: %s/%s: %w", w.Name(), in.Name, err)
+	}
+	return rs, nil
+}
+
+// run builds a machine for prog under mcfg, installs w's input in and
+// runs the program, and returns the machine with its statistics. Execute
+// and ProfilePass both run through here; each keeps its own frame on the
+// stack, which is what attributes a run's samples to its pipeline stage.
+func run(prog *ir.Program, w Workload, in Input, mcfg machine.Config) (*machine.Machine, RunStats, error) {
+	m, err := machine.New(prog, mcfg)
+	if err != nil {
+		return nil, RunStats{}, err
 	}
 	w.Setup(m, in)
 	ret, err := m.Run()
 	if err != nil {
-		return RunStats{}, fmt.Errorf("core: %s/%s: %w", w.Name(), in.Name, err)
+		return nil, RunStats{}, err
 	}
 	// Close the effectiveness accounting (resident-unused and
 	// still-in-flight prefetches) so every attached collector reconciles;
 	// hierarchies without one are skipped.
 	m.FinishObs()
-	return snapshot(m, ret), nil
+	return m, snapshot(m, ret), nil
 }
 
 func snapshot(m *machine.Machine, ret int64) RunStats {
@@ -167,7 +178,7 @@ type ProfileRun struct {
 // with its own stride runtime bound as the lane's hook on a memory system
 // configured like the primary's. The other twins, and every twin when
 // mcfg brings lanes of its own, run on their own. mcfg.Obs observes opts'
-// run only.
+// run only, and the instrumentation's hooks replace mcfg.Hooks.
 func ProfilePass(w Workload, in Input, opts instrument.Options, mcfg machine.Config, twins ...instrument.Options) (*ProfileRun, error) {
 	prog := w.Program()
 	res, err := instrument.Instrument(prog, opts)
@@ -188,7 +199,7 @@ func ProfilePass(w Workload, in Input, opts instrument.Options, mcfg machine.Con
 			if lanesOK && ir.Fingerprint(tres.Prog) == fp {
 				riders[i] = tres
 				lanes = append(lanes, machine.Lane{Hierarchy: mcfg.Hierarchy,
-					NewHWPrefetch: mcfg.NewHWPrefetch, Hooks: laneHooks(tres)})
+					NewHWPrefetch: mcfg.NewHWPrefetch, Hooks: tres.Hooks()})
 				continue
 			}
 			if runs[i], err = ProfilePass(w, in, t, mcfg); err != nil {
@@ -199,20 +210,11 @@ func ProfilePass(w Workload, in Input, opts instrument.Options, mcfg machine.Con
 	if lanes != nil {
 		mcfg.Lanes = lanes
 	}
-	m, err := machine.New(res.Prog, machine.WithConfig(mcfg))
-	if err != nil {
-		return nil, err
-	}
-	if res.Runtime != nil {
-		res.Runtime.Register(m)
-	}
-	w.Setup(m, in)
-	ret, err := m.Run()
+	mcfg.Hooks = res.Hooks()
+	m, st, err := run(res.Prog, w, in, mcfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling %s/%s with %v: %w", w.Name(), in.Name, opts.Method, err)
 	}
-
-	st := snapshot(m, ret)
 	var laneStats []RunStats
 	if lanes != nil {
 		laneStats, st.Lanes = st.Lanes, nil
@@ -229,14 +231,6 @@ func ProfilePass(w Workload, in Input, opts instrument.Options, mcfg machine.Con
 		pr.Lanes = runs
 	}
 	return pr, nil
-}
-
-// laneHooks binds res's stride runtime, if any, as a lane's hooks.
-func laneHooks(res *instrument.Result) map[int64]machine.HookFunc {
-	if res.Runtime == nil {
-		return nil
-	}
-	return map[int64]machine.HookFunc{stride.HookID: res.Runtime.Hook()}
 }
 
 // profileRun extracts one instrumentation's profiles and profiling-cost

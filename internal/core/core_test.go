@@ -5,9 +5,11 @@ import (
 	"reflect"
 	"testing"
 
+	"stridepf/internal/hwpf"
 	"stridepf/internal/instrument"
 	"stridepf/internal/ir"
 	"stridepf/internal/machine"
+	"stridepf/internal/obs"
 	"stridepf/internal/prefetch"
 	"stridepf/internal/stride"
 )
@@ -172,6 +174,29 @@ func TestProfilePassTwins(t *testing.T) {
 			got.HookInvocations != want.HookInvocations || got.ProgramLoadRefs != want.ProgramLoadRefs {
 			t.Errorf("run %d (%v) differs from its own ProfilePass", i, o.Method)
 		}
+	}
+}
+
+// TestProfilePassClosesCollector: a collector attached to a profiling pass
+// is closed as an Execute's is, so it reconciles and carries level stats.
+func TestProfilePassClosesCollector(t *testing.T) {
+	w := newListWorkload()
+	col := obs.NewCollector(nil)
+	mcfg := machine.Config{Obs: col, NewHWPrefetch: func() machine.HWPrefetcher {
+		p, _ := hwpf.NewScheme("rpt", hwpf.Config{})
+		return p
+	}}
+	if _, err := ProfilePass(w, w.Train(), instrument.Options{Method: instrument.EdgeCheck}, mcfg); err != nil {
+		t.Fatal(err)
+	}
+	if col.Totals().Issued == 0 {
+		t.Fatal("the rpt prefetcher issued nothing")
+	}
+	if err := col.Reconcile(); err != nil {
+		t.Error(err)
+	}
+	if len(col.Levels) == 0 {
+		t.Error("the collector carries no level stats")
 	}
 }
 

@@ -124,8 +124,8 @@ type Session struct {
 
 // memo is what every view of a session shares: the configuration and one
 // map of finished cells beside the table of cells in flight. A cell's key
-// is a groupKey, a runKey or a string led by the cell's kind ("profile|",
-// "clean|", "speedup|", "classify|", "arena|", "paths|") and its workload.
+// is a groupKey, a runKey or a string led by the cell's kind ("clean|",
+// "speedup|", "classify|", "arena|", "paths|") and its workload.
 type memo struct {
 	// cfg.Workloads is unused: each view carries its own roster.
 	cfg Config
@@ -146,16 +146,15 @@ type memo struct {
 	profileRuns atomic.Int64
 }
 
-// groupKey identifies one profiling execution: an instrumented program, by
-// ir.Fingerprint, on one workload input, profiled for the cells of one
-// profile group (see profileGroup), whose runtimes it binds. The group's
-// first cell is the primary and the rest are lanes. cells joins the
-// group's cell names, so a cell outside the paper's method table that
-// happens to build a grouped binary still gets an execution of its own.
+// groupKey identifies one profiling execution: a workload input profiled
+// for the cells of one profile group (see profileGroup), whose runtimes it
+// binds. The group's first cell is the primary and the rest are lanes.
+// cells joins the group's cell names, which decide the instrumentation, so
+// a cell outside the paper's method table that happens to build a grouped
+// binary still gets an execution of its own.
 type groupKey struct {
 	workload string
 	in       core.Input
-	prog     [32]byte
 	cells    string
 }
 
@@ -327,49 +326,37 @@ func (s *Session) workload(name string) (core.Workload, error) {
 
 // Profile returns the memoised profiling run of the workload under the
 // given method and input. The cells of one profile group (see
-// profileGroup) share one execution: each cell computes through the group
-// memo, whose first caller runs the whole group in one core.ProfilePass,
-// its other members riding as lanes, under a key of the workload, the
-// input, the fingerprint of the instrumented program and the group's cells
-// (see groupKey). Every member's run equals its own ProfilePass.
+// profileGroup) share one memo entry (see groupKey), whose first caller
+// runs the whole group in one core.ProfilePass, its other members riding
+// as lanes. Every member's run equals its own ProfilePass.
 func (s *Session) Profile(ctx context.Context, wname string, m MethodSpec, in core.Input) (*core.ProfileRun, error) {
-	v, err := s.do(ctx, "profile|"+wname+"|"+m.Name+"|"+in.Name, func() (any, error) {
-		w, err := s.workload(wname)
+	w, err := s.workload(wname)
+	if err != nil {
+		return nil, err
+	}
+	group, idx := profileGroup(w, m, in)
+	gkey := groupKey{workload: wname, in: in}
+	for _, g := range group {
+		gkey.cells += g.Name + "|"
+	}
+	runs, err := s.do(ctx, gkey, func() (any, error) {
+		twins := make([]instrument.Options, 0, len(group)-1)
+		for _, g := range group[1:] {
+			twins = append(twins, g.Opts)
+		}
+		s.profileRuns.Add(1)
+		pr, err := core.ProfilePass(w, in, group[0].Opts, s.mcfg(ctx), twins...)
 		if err != nil {
-			return nil, err
+			return nil, ctxErr(ctx, err)
 		}
-		group, idx := profileGroup(w, m, in)
-		res, err := instrument.Instrument(w.Program(), group[0].Opts)
-		if err != nil {
-			return nil, err
-		}
-		gkey := groupKey{workload: wname, in: in, prog: ir.Fingerprint(res.Prog)}
-		for _, g := range group {
-			gkey.cells += g.Name + "|"
-		}
-		runs, err := s.do(ctx, gkey, func() (any, error) {
-			twins := make([]instrument.Options, 0, len(group)-1)
-			for _, g := range group[1:] {
-				twins = append(twins, g.Opts)
-			}
-			s.profileRuns.Add(1)
-			pr, err := core.ProfilePass(w, in, group[0].Opts, s.mcfg(ctx), twins...)
-			if err != nil {
-				return nil, ctxErr(ctx, err)
-			}
-			runs := append([]*core.ProfileRun{pr}, pr.Lanes...)
-			pr.Lanes = nil
-			return runs, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return runs.([]*core.ProfileRun)[idx], nil
+		runs := append([]*core.ProfileRun{pr}, pr.Lanes...)
+		pr.Lanes = nil
+		return runs, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*core.ProfileRun), nil
+	return runs.([]*core.ProfileRun)[idx], nil
 }
 
 // profileGroup returns the profile cells one execution computes together

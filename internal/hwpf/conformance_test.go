@@ -69,7 +69,7 @@ func loopProg(base uint64, trip int64, step func(b *ir.Builder, p, i ir.Reg)) *i
 func runConformance(t *testing.T, prog *ir.Program, p Prefetcher, setup func(m *machine.Machine)) *obs.Collector {
 	t.Helper()
 	col := obs.NewCollector(nil)
-	m, err := machine.New(prog, machine.WithHWPrefetchFactory(func() machine.HWPrefetcher { return p }), machine.WithObs(col))
+	m, err := machine.New(prog, machine.Config{NewHWPrefetch: func() machine.HWPrefetcher { return p }, Obs: col})
 	if err != nil {
 		t.Fatal(err)
 	}

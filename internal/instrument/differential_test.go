@@ -9,16 +9,17 @@ import (
 	"stridepf/internal/machine"
 )
 
-// runProg executes prog (registering the stride runtime if any) and
-// returns the checksum.
+// runProg executes prog (binding res's hooks, if any) and returns the
+// checksum.
 func runProg(t *testing.T, res *Result, prog *ir.Program) int64 {
 	t.Helper()
-	m, err := machine.New(prog, machine.WithMaxSteps(50_000_000))
+	cfg := machine.Config{MaxSteps: 50_000_000}
+	if res != nil {
+		cfg.Hooks = res.Hooks()
+	}
+	m, err := machine.New(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res != nil && res.Runtime != nil {
-		res.Runtime.Register(m)
 	}
 	v, err := m.Run()
 	if err != nil {
@@ -74,7 +75,7 @@ func TestDifferentialEdgeCounts(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		m, err := machine.New(res.Prog, machine.WithMaxSteps(50_000_000))
+		m, err := machine.New(res.Prog, machine.Config{MaxSteps: 50_000_000})
 		if err != nil {
 			return false
 		}

@@ -103,8 +103,8 @@ type Result struct {
 	Prog *ir.Program
 	// Method echoes the strategy used.
 	Method Method
-	// Runtime is the stride-profiling runtime to Register on the machine
-	// before running (nil for EdgeOnly).
+	// Runtime is the stride-profiling runtime the program's hooks call (nil
+	// for EdgeOnly); Hooks binds it.
 	Runtime *stride.Runtime
 	// Profiled lists the loads selected for stride profiling.
 	Profiled []ProfiledLoad
@@ -201,6 +201,16 @@ func (res *Result) ExtractBlockFreqs(m *machine.Machine) map[string]map[int]uint
 		fm[k.block] = uint64(m.Mem.Load(addr))
 	}
 	return out
+}
+
+// Hooks returns the hook bindings the instrumented program needs, for
+// machine.Config.Hooks or machine.Lane.Hooks: the stride runtime's, or nil
+// for EdgeOnly.
+func (res *Result) Hooks() map[int64]machine.HookFunc {
+	if res.Runtime == nil {
+		return nil
+	}
+	return res.Runtime.Hooks()
 }
 
 // StrideSummaries returns the collected stride profile (nil Runtime yields

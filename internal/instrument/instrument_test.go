@@ -105,12 +105,9 @@ func runInstrumented(t *testing.T, prog *ir.Program, opts Options) (*Result, *ma
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := machine.New(res.Prog)
+	m, err := machine.New(res.Prog, machine.Config{Hooks: res.Hooks()})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Runtime != nil {
-		res.Runtime.Register(m)
 	}
 	// Map the data regions so loads return deterministic values.
 	for a := uint64(arrBase); a < arrBase+1<<20; a += 1 << 15 {

@@ -21,7 +21,7 @@ func TestGeneratedProgramsVerify(t *testing.T) {
 func TestGeneratedProgramsTerminate(t *testing.T) {
 	prop := func(seed uint64) bool {
 		prog := Generate(seed, Config{})
-		m, err := machine.New(prog, machine.WithMaxSteps(50_000_000))
+		m, err := machine.New(prog, machine.Config{MaxSteps: 50_000_000})
 		if err != nil {
 			return false
 		}
@@ -36,7 +36,7 @@ func TestGeneratedProgramsTerminate(t *testing.T) {
 func TestGeneratedProgramsDeterministic(t *testing.T) {
 	prog := Generate(42, Config{})
 	run := func() int64 {
-		m, err := machine.New(prog)
+		m, err := machine.New(prog, machine.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -368,9 +368,7 @@ func singleton(d *decoded, ii int) xinstr {
 
 // translateBlock builds the execution form of block bi of c: the fused
 // translation, or with exact set the exact one. Hook pointers are copied
-// from the decoded stream, so the translation is only valid for the hook
-// bindings resolveHooks installed before the current Run — resolveHooks
-// drops code.xb whenever it rebinds.
+// from the decoded stream, which New bound once (see bindHooks).
 func (m *Machine) translateBlock(c *code, bi int32, exact bool) *xblock {
 	blk := c.blocks[bi]
 	xb := &xblock{bi: bi}

@@ -31,7 +31,7 @@ func BenchmarkInterpreterALU(b *testing.B) {
 	prog := ir.NewProgram()
 	prog.Add(bl.Finish())
 
-	m, err := New(prog, WithConfig(Config{MaxSteps: 1 << 62}))
+	m, err := New(prog, Config{MaxSteps: 1 << 62})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func throughputProgram(n, nodes int64) *ir.Program {
 // cmd/interpbench records in BENCH_interp.json.
 func BenchmarkMachineThroughput(b *testing.B) {
 	const nodes = 1 << 12
-	m, err := New(throughputProgram(int64(b.N), nodes), WithConfig(Config{MaxSteps: 1 << 62}))
+	m, err := New(throughputProgram(int64(b.N), nodes), Config{MaxSteps: 1 << 62})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func BenchmarkInterpreterMemory(b *testing.B) {
 	prog := ir.NewProgram()
 	prog.Add(bl.Finish())
 
-	m, err := New(prog, WithConfig(Config{MaxSteps: 1 << 62}))
+	m, err := New(prog, Config{MaxSteps: 1 << 62})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func BenchmarkLaneFanOut(b *testing.B) {
 	prog.Add(bl.Finish())
 
 	untraced := func(string) *obs.Collector { return obs.NewCollector(nil) }
-	m, err := New(prog, WithConfig(Config{MaxSteps: 1 << 62}), WithLanes(arenaLanes(untraced)...))
+	m, err := New(prog, Config{MaxSteps: 1 << 62, Lanes: arenaLanes(untraced)})
 	if err != nil {
 		b.Fatal(err)
 	}

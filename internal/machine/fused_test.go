@@ -19,7 +19,7 @@ import (
 // also requires each side to have run the translation it asked for: the
 // fused side some multi-instruction xinstr, the exact side one profiled
 // dispatch per executed instruction.
-func runBoth(t *testing.T, prog *ir.Program, cfg Config, hooks map[int64]HookFunc) (int64, error) {
+func runBoth(t *testing.T, prog *ir.Program, cfg Config) (int64, error) {
 	t.Helper()
 	type outcome struct {
 		ret   int64
@@ -28,21 +28,20 @@ func runBoth(t *testing.T, prog *ir.Program, cfg Config, hooks map[int64]HookFun
 		fp    uint64
 		lc    map[LoadKey]uint64
 	}
-	run := func(opts ...Option) (outcome, *Machine) {
+	run := func(pp *PairProfile) (outcome, *Machine) {
 		t.Helper()
-		m, err := New(prog, append([]Option{WithConfig(cfg)}, opts...)...)
+		c := cfg
+		c.PairProfile = pp
+		m, err := New(prog, c)
 		if err != nil {
 			t.Fatal(err)
-		}
-		for id, fn := range hooks {
-			m.Register(id, fn)
 		}
 		ret, err := m.Run()
 		return outcome{ret, err, m.Stats(), m.Mem.Fingerprint(), m.LoadCounts()}, m
 	}
-	fused, fm := run()
+	fused, fm := run(nil)
 	pp := NewPairProfile()
-	ref, _ := run(WithPairProfile(pp))
+	ref, _ := run(pp)
 
 	if !fusedSomewhere(fm) {
 		t.Error("fused side ran no multi-instruction xinstr")
@@ -106,7 +105,7 @@ func TestFusedMatchesReferenceKernels(t *testing.T) {
 		// xCmpBr on a less-than and on an equality with a const-fed
 		// operand, a load then a store, xALU groups ending in a branch and
 		// the Sub/Mul/And const folds.
-		ret, err := runBoth(t, throughputProgram(500, 64), Config{}, nil)
+		ret, err := runBoth(t, throughputProgram(500, 64), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +132,7 @@ func TestFusedMatchesReferenceKernels(t *testing.T) {
 		prog := ir.NewProgram()
 		prog.Add(bl.Finish())
 
-		ret, err := runBoth(t, prog, Config{}, nil)
+		ret, err := runBoth(t, prog, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +158,7 @@ func TestFusedMatchesReferenceKernels(t *testing.T) {
 			prog := ir.NewProgram()
 			prog.Add(bl.Finish())
 
-			ret, err := runBoth(t, prog, Config{}, nil)
+			ret, err := runBoth(t, prog, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +184,7 @@ func TestFusedMatchesReferenceKernels(t *testing.T) {
 		prog := ir.NewProgram()
 		prog.Add(bl.Finish())
 
-		ret, err := runBoth(t, prog, Config{}, nil)
+		ret, err := runBoth(t, prog, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +196,7 @@ func TestFusedMatchesReferenceKernels(t *testing.T) {
 	t.Run("branch-shapes", func(t *testing.T) {
 		// branchShapesProgram's conditional branch ends a non-compare ALU
 		// run and its jump block is only a branch; no workload forms either.
-		ret, err := runBoth(t, branchShapesProgram(), Config{}, nil)
+		ret, err := runBoth(t, branchShapesProgram(), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +211,7 @@ func TestFusedMatchesReferenceKernels(t *testing.T) {
 		if ret != want {
 			t.Errorf("ret = %d, want %d", ret, want)
 		}
-		m, err := New(branchShapesProgram())
+		m, err := New(branchShapesProgram(), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +247,7 @@ func TestFusedMatchesReferenceKernels(t *testing.T) {
 		hooks := map[int64]HookFunc{9: func(m *Machine, args []int64) {
 			m.AddCycles(uint64(args[0]))
 		}}
-		ret, err := runBoth(t, prog, Config{}, hooks)
+		ret, err := runBoth(t, prog, Config{Hooks: hooks})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,11 +313,11 @@ func TestCompareSemantics(t *testing.T) {
 					prog.Add(bl.Finish())
 					want := sh.ret(b2i(op.want(a, b)))
 					for _, exact := range []bool{false, true} {
-						var opts []Option
+						var cfg Config
 						if exact {
-							opts = append(opts, WithPairProfile(NewPairProfile()))
+							cfg.PairProfile = NewPairProfile()
 						}
-						m, err := New(prog, opts...)
+						m, err := New(prog, cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -374,14 +373,15 @@ func branchShapesProgram() *ir.Program {
 func TestFusedTranslationShape(t *testing.T) {
 	small := cache.ItaniumConfig()
 	small.MemLatency = 200
+	hooks := map[int64]HookFunc{7: func(*Machine, []int64) {}}
 	machines := []struct {
 		name string
-		opts []Option
+		cfg  Config
 	}{
-		{"bare", nil},
-		{"hw-prefetcher", []Option{WithHWPrefetchFactory(func() HWPrefetcher { return nopPrefetcher{} })}},
-		{"own-hierarchy-lane", []Option{WithLanes(Lane{Hierarchy: small})}},
-		{"pair-profiled", []Option{WithPairProfile(NewPairProfile())}},
+		{"bare", Config{}},
+		{"hw-prefetcher", Config{NewHWPrefetch: func() HWPrefetcher { return nopPrefetcher{} }}},
+		{"own-hierarchy-lane", Config{Lanes: []Lane{{Hierarchy: small, Hooks: hooks}}}},
+		{"pair-profiled", Config{PairProfile: NewPairProfile()}},
 	}
 	type shape struct {
 		kind xkind
@@ -399,7 +399,8 @@ func TestFusedTranslationShape(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var want map[string][][]shape
 			for _, mc := range machines {
-				m, err := New(tc.prog(), mc.opts...)
+				mc.cfg.Hooks = hooks
+				m, err := New(tc.prog(), mc.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -512,7 +513,7 @@ func TestFusedMaxStepsExact(t *testing.T) {
 		return prog
 	}
 	for budget := uint64(1); budget <= 40; budget++ {
-		_, err := runBoth(t, loop(), Config{MaxSteps: budget}, nil)
+		_, err := runBoth(t, loop(), Config{MaxSteps: budget})
 		if !errors.Is(err, ErrMaxSteps) {
 			t.Fatalf("loop, budget %d: err = %v, want ErrMaxSteps", budget, err)
 		}
@@ -536,69 +537,10 @@ func TestFusedMaxStepsExact(t *testing.T) {
 		return prog
 	}
 	for budget := uint64(1); budget <= 12; budget++ {
-		_, err := runBoth(t, call(), Config{MaxSteps: budget}, nil)
+		_, err := runBoth(t, call(), Config{MaxSteps: budget})
 		if want := budget < 10; errors.Is(err, ErrMaxSteps) != want {
 			t.Errorf("call, budget %d: err = %v, want ErrMaxSteps %v", budget, err, want)
 		}
-	}
-}
-
-// TestRegisterMidRunNextRunContract pins the contract documented on
-// Register: a Register call made while a Run is in progress has no effect
-// on the current run — every subsequent hook invocation still calls the
-// binding resolveHooks installed at Run start — and takes effect at the
-// next Run, on both the fused and the exact translation.
-func TestRegisterMidRunNextRunContract(t *testing.T) {
-	build := func() *ir.Program {
-		bl := ir.NewBuilder("main")
-		second := bl.Block("second")
-		bl.Hook(5)
-		bl.Br(second)
-		bl.At(second)
-		bl.Hook(5)
-		bl.Ret(ir.NoReg)
-		prog := ir.NewProgram()
-		prog.Add(bl.Finish())
-		return prog
-	}
-	for _, tc := range []struct {
-		name string
-		opts []Option
-	}{
-		{"fused", nil},
-		{"reference", []Option{WithPairProfile(NewPairProfile())}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m, err := New(build(), tc.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var calls []string
-			m.Register(5, func(mm *Machine, _ []int64) {
-				calls = append(calls, "old")
-				// Rebinding mid-run: must not affect the rest of this run,
-				// even though the block containing the second hook site has
-				// not been entered yet.
-				mm.Register(5, func(*Machine, []int64) {
-					calls = append(calls, "new")
-				})
-			})
-			if _, err := m.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if len(calls) != 2 || calls[0] != "old" || calls[1] != "old" {
-				t.Fatalf("first run calls = %v, want [old old] (mid-run Register must defer to next Run)", calls)
-			}
-			calls = nil
-			if _, err := m.Run(); err != nil {
-				t.Fatal(err)
-			}
-			// The first "old" invocation re-registers "new" mid-run again,
-			// but this run started with "new" bound at both sites.
-			if len(calls) != 2 || calls[0] != "new" || calls[1] != "new" {
-				t.Fatalf("second run calls = %v, want [new new] (Register takes effect at next Run)", calls)
-			}
-		})
 	}
 }
 
@@ -625,7 +567,7 @@ func TestPairProfileCountsReferenceStream(t *testing.T) {
 	prog.Add(bl.Finish())
 
 	pp := NewPairProfile()
-	m, err := New(prog, WithPairProfile(pp))
+	m, err := New(prog, Config{PairProfile: pp})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,13 +9,13 @@ import (
 
 // Lane is an extra memory system, with its own runtime hooks, that a
 // machine drives beside its primary one (Config.Hierarchy, NewHWPrefetch,
-// Obs and the hooks bound with Register). One execution of the program
-// then yields the run each lane's configuration would have produced on its
-// own machine: the instruction stream, registers and memory image depend
-// neither on cache or prefetcher state nor on the hooks, so only the clock
-// differs. With lanes attached, every hook — the primary's and the lanes'
-// — must therefore write no registers and no simulated memory;
-// stride.Runtime's writes neither.
+// Obs and Hooks). One execution of the program then yields the run each
+// lane's configuration would have produced on its own machine: the
+// instruction stream, registers and memory image depend neither on cache
+// or prefetcher state nor on the hooks, so only the clock differs. With
+// lanes attached, every hook — the primary's and the lanes' — must
+// therefore write no registers and no simulated memory; stride.Runtime's
+// writes neither.
 //
 // A lane's clock is the shared fixed-cost cycle count plus the lane's own
 // stall and hook total, kept as a skew against the primary clock. Every
@@ -48,9 +48,9 @@ type Lane struct {
 	// Obs, when non-nil, collects the lane's prefetch-effectiveness
 	// metrics; Machine.FinishObs closes it at the lane's own final cycle.
 	Obs *obs.Collector
-	// Hooks binds the lane's runtime hooks by ID, as Register binds the
+	// Hooks binds the lane's runtime hooks by ID, as Config.Hooks binds the
 	// primary's. Every hook ID the program names must be bound here too, or
-	// Run fails before the first instruction.
+	// New fails.
 	Hooks map[int64]HookFunc
 }
 
@@ -176,7 +176,7 @@ func (m *Machine) Lanes() []LaneView {
 // primary's hook fn, then each lane's with that lane current, so the
 // clock accessors charge and read the lane's clock. The primary's hook
 // charge is not a shared cost, so each lane's clock gives it back before
-// the lane's own hook runs. Every lane must bind id (resolveHooks checks).
+// the lane's own hook runs. Every lane must bind id (bindHooks checks).
 func (m *Machine) laneHook(id int64, fn HookFunc) HookFunc {
 	fns := make([]HookFunc, len(m.lanes))
 	for i := range m.lanes {

@@ -110,12 +110,11 @@ func TestLaneHooksChargeLaneClock(t *testing.T) {
 // and compares every run with a standalone one.
 func testLaneHooks(t *testing.T, prog *ir.Program, hier cache.HierarchyConfig, shared bool, costs []uint64, blind bool, n int) {
 	standalone := func(cost uint64, hier cache.HierarchyConfig) (*clockHook, Stats) {
-		m, err := New(prog, WithHierarchy(hier))
+		h := &clockHook{cost: cost, blind: blind}
+		m, err := New(prog, Config{Hierarchy: hier, Hooks: map[int64]HookFunc{7: h.fn}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := &clockHook{cost: cost, blind: blind}
-		m.Register(7, h.fn)
 		buildList(m, n)
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -131,11 +130,10 @@ func testLaneHooks(t *testing.T, prog *ir.Program, hier cache.HierarchyConfig, s
 			lanes = append(lanes, Lane{Hierarchy: hier, Hooks: map[int64]HookFunc{7: hooks[i].fn}})
 		}
 	}
-	m, err := New(prog, WithLanes(lanes...))
+	m, err := New(prog, Config{Lanes: lanes, Hooks: map[int64]HookFunc{7: hooks[0].fn}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Register(7, hooks[0].fn)
 	buildList(m, n)
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -166,28 +164,21 @@ func testLaneHooks(t *testing.T, prog *ir.Program, hier cache.HierarchyConfig, s
 }
 
 // TestLaneUnboundHookFailsUpfront: a lane that leaves a hook ID unbound
-// fails Run before the first instruction, with the primary's
-// unregistered-hook error naming the lane.
+// fails New with the primary's unbound-hook error naming the lane.
 func TestLaneUnboundHookFailsUpfront(t *testing.T) {
-	nop := func(*Machine, []int64) {}
-	m, err := New(hookedSumProgram(false), WithLanes(Lane{Hooks: map[int64]HookFunc{7: nop}}, Lane{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Register(7, nop)
-	_, err = m.Run()
+	_, err := New(hookedSumProgram(false), Config{Hooks: nopHooks, Lanes: []Lane{{Hooks: nopHooks}, {}}})
 	if err == nil {
-		t.Fatal("a lane with an unbound hook ran")
+		t.Fatal("New accepted a lane with an unbound hook")
 	}
 	for _, want := range []string{"lane 1", "hook 7", "main"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
 	}
-	if got := m.Stats().Instrs; got != 0 {
-		t.Errorf("executed %d instructions before failing; want 0", got)
-	}
 }
+
+// nopHooks binds hookedSumProgram's hook to a no-op.
+var nopHooks = map[int64]HookFunc{7: func(*Machine, []int64) {}}
 
 type nopPrefetcher struct{}
 
@@ -203,20 +194,22 @@ func TestLaneSharesHierarchyOnlyWithoutPrefetch(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		prefetch bool
-		opts     []Option
+		cfg      Config
 		lane     Lane
 		shared   bool
 	}{
 		{name: "plain", shared: true},
 		{name: "itanium-explicit", lane: Lane{Hierarchy: cache.ItaniumConfig()}, shared: true},
-		{name: "machine-prefetcher", opts: []Option{WithHWPrefetchFactory(nopFactory)}},
+		{name: "machine-prefetcher", cfg: Config{NewHWPrefetch: nopFactory}},
 		{name: "lane-prefetcher", lane: Lane{NewHWPrefetch: nopFactory}},
 		{name: "lane-collector", lane: Lane{Obs: obs.NewCollector(nil)}},
 		{name: "other-hierarchy", lane: Lane{Hierarchy: small}},
 		{name: "software-prefetch", prefetch: true},
-		{name: "software-prefetch-disabled", prefetch: true, opts: []Option{WithDisablePrefetch()}, shared: true},
+		{name: "software-prefetch-disabled", prefetch: true, cfg: Config{DisablePrefetch: true}, shared: true},
 	} {
-		m, err := New(hookedSumProgram(tc.prefetch), append(tc.opts, WithLanes(tc.lane))...)
+		tc.lane.Hooks = nopHooks
+		tc.cfg.Hooks, tc.cfg.Lanes = nopHooks, []Lane{tc.lane}
+		m, err := New(hookedSumProgram(tc.prefetch), tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,20 +254,23 @@ func TestLanesStopMidBlock(t *testing.T) {
 	lanes := arenaLanes(func(string) *obs.Collector { return obs.NewCollector(nil) })
 	for _, stop := range []struct {
 		name string
-		opt  Option
+		cfg  Config
 		err  error
 	}{
-		{"budget", WithMaxSteps(5*nodes + 777), ErrMaxSteps},
-		{"interrupt", WithInterrupt(closed), ErrInterrupted},
+		{"budget", Config{MaxSteps: 5*nodes + 777}, ErrMaxSteps},
+		{"interrupt", Config{Interrupt: closed}, ErrInterrupted},
 	} {
 		t.Run(stop.name, func(t *testing.T) {
-			run := func(cost uint64, opts ...Option) *Machine {
-				m, err := New(prog, append(opts, stop.opt)...)
+			// run runs prog under stop's config with the memory system cfg
+			// brings and a blind hook of the given cost.
+			run := func(cost uint64, cfg Config) *Machine {
+				cfg.MaxSteps, cfg.Interrupt = stop.cfg.MaxSteps, stop.cfg.Interrupt
+				h := &clockHook{cost: cost, blind: true}
+				cfg.Hooks = map[int64]HookFunc{7: h.fn}
+				m, err := New(prog, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				h := &clockHook{cost: cost, blind: true}
-				m.Register(7, h.fn)
 				buildList(m, nodes)
 				if _, err := m.Run(); !errors.Is(err, stop.err) {
 					t.Fatalf("run error %v, want %v", err, stop.err)
@@ -292,7 +288,7 @@ func TestLanesStopMidBlock(t *testing.T) {
 				l.Hooks = map[int64]HookFunc{7: h.fn}
 				mine = append(mine, l)
 			}
-			m := run(2, WithLanes(mine...))
+			m := run(2, Config{Lanes: mine})
 			// The records: each load, each software prefetch the lanes saw
 			// (counted by the lane without a prefetcher), and for each hook
 			// call a give-back and a charge per lane.
@@ -306,8 +302,8 @@ func TestLanesStopMidBlock(t *testing.T) {
 				if mine[i].Obs != nil {
 					col = obs.NewCollector(nil)
 				}
-				want := run(uint64(3+i), WithHierarchy(mine[i].Hierarchy),
-					WithHWPrefetchFactory(mine[i].NewHWPrefetch), WithObs(col))
+				want := run(uint64(3+i), Config{Hierarchy: mine[i].Hierarchy,
+					NewHWPrefetch: mine[i].NewHWPrefetch, Obs: col})
 				got := accountOf(v.Stats, v.Hier, mine[i].Obs)
 				if w := accountOf(want.Stats(), want.Hier, col); !reflect.DeepEqual(got, w) {
 					t.Errorf("lane %d differs from its standalone run:\nlane       %+v\nstandalone %+v", i, got, w)
@@ -355,15 +351,15 @@ func TestLaneReplayDivergence(t *testing.T) {
 		MemLatency: 50,
 	}
 	for _, trip := range []int64{20, 2 * laneBlock} {
-		alone, err := New(lineLoop(trip), WithSelfCheck())
+		alone, err := New(lineLoop(trip), Config{SelfCheck: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := alone.Run(); err != nil {
 			t.Fatalf("trip %d: the primary diverges on its own: %v", trip, err)
 		}
-		m, err := New(lineLoop(trip), WithSelfCheck(),
-			WithLanes(Lane{Hierarchy: oneSet, Obs: obs.NewCollector(nil)}))
+		m, err := New(lineLoop(trip), Config{SelfCheck: true,
+			Lanes: []Lane{{Hierarchy: oneSet, Obs: obs.NewCollector(nil)}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,12 +404,12 @@ func TestLaneTraceEquivalence(t *testing.T) {
 			out[ev.Run] = append(out[ev.Run], ev)
 		}
 	}
-	run := func(opts ...Option) *Machine {
-		m, err := New(hookedSumProgram(true), opts...)
+	run := func(cfg Config) *Machine {
+		cfg.Hooks = map[int64]HookFunc{7: hook}
+		m, err := New(hookedSumProgram(true), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Register(7, hook)
 		buildList(m, nodes)
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -430,19 +426,20 @@ func TestLaneTraceEquivalence(t *testing.T) {
 		named[col] = name
 		return col
 	})
-	configs := map[string]Option{"primary": WithHierarchy(cache.HierarchyConfig{})}
+	configs := map[string]Config{"primary": {}}
 	for i, l := range lanes {
 		lanes[i].Hooks = map[int64]HookFunc{7: hook}
 		if name, ok := named[l.Obs]; ok {
-			configs[name] = WithConfig(Config{Hierarchy: l.Hierarchy, NewHWPrefetch: l.NewHWPrefetch})
+			configs[name] = Config{Hierarchy: l.Hierarchy, NewHWPrefetch: l.NewHWPrefetch}
 		}
 	}
-	run(WithObs(obs.NewCollector(tr.WithRun("primary"))), WithLanes(lanes...))
+	run(Config{Obs: obs.NewCollector(tr.WithRun("primary")), Lanes: lanes})
 	got := events(&shared)
 
 	for name, cfg := range configs {
 		var own bytes.Buffer
-		run(cfg, WithObs(obs.NewCollector(obs.NewTrace(&own, obs.TraceConfig{SampleEvery: 1}).WithRun(name))))
+		cfg.Obs = obs.NewCollector(obs.NewTrace(&own, obs.TraceConfig{SampleEvery: 1}).WithRun(name))
+		run(cfg)
 		want := events(&own)[name]
 		if len(want) < 100 {
 			t.Fatalf("%s: a standalone run emits only %d events", name, len(want))

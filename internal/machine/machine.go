@@ -104,6 +104,10 @@ type Config struct {
 	// (see cmd/interpbench -pairs). Its result is otherwise identical to an
 	// unprofiled run's, which makes it the differential checkers' reference.
 	PairProfile *PairProfile
+	// Hooks binds the primary's runtime hooks by ID, as Lane.Hooks binds a
+	// lane's. Every hook ID the program names must be bound here and on
+	// every lane, or New fails.
+	Hooks map[int64]HookFunc
 }
 
 func (c *Config) fill() {
@@ -214,8 +218,7 @@ type code struct {
 	loadCount  []uint64 // per-static-load dynamic reference counts
 
 	// xb caches the execution form of each block, translated on first entry
-	// (see bbcache.go). It is invalidated whenever resolveHooks rebinds hook
-	// sites, so a translation can never outlive the hook table it captured.
+	// (see bbcache.go).
 	xb []*xblock
 	// regReads counts, per register, the static read sites across the whole
 	// function; the translator's constant folding may elide a constant's
@@ -223,8 +226,8 @@ type code struct {
 	regReads []int32
 }
 
-// Machine executes one program. A machine is single-use per program but may
-// Run multiple times (statistics accumulate unless Reset is called).
+// Machine executes one program under the Config it was built with. It may
+// Run multiple times; statistics accumulate across runs.
 type Machine struct {
 	cfg   Config
 	prog  *ir.Program
@@ -237,10 +240,6 @@ type Machine struct {
 	// Hier is the cache hierarchy.
 	Hier *cache.Hierarchy
 
-	hooks map[int64]HookFunc
-	// hooksDirty marks that Register calls since the last Run have not yet
-	// been resolved into the decoded instruction stream.
-	hooksDirty bool
 	// noPf caches Config.DisablePrefetch for the step loop.
 	noPf bool
 	// intr caches Config.Interrupt for the step loop.
@@ -290,20 +289,11 @@ var ErrMaxDepth = errors.New("machine: call stack overflow")
 // for further Runs after an interrupt.
 var ErrInterrupted = errors.New("machine: execution interrupted")
 
-// New creates a machine for prog, configured by functional options:
-//
-//	m, err := machine.New(prog, machine.WithSelfCheck(), machine.WithObs(col))
-//
-// A full Config can be installed wholesale with WithConfig (typically first,
-// with further options layered on top). The program must pass
-// ir.VerifyProgram and use only opcodes the machine implements; hooks
-// referenced by OpHook instructions must be registered with Register before
-// Run.
-func New(prog *ir.Program, opts ...Option) (*Machine, error) {
-	var cfg Config
-	for _, o := range opts {
-		o(&cfg)
-	}
+// New creates a machine for prog configured by cfg, which is fixed for the
+// machine's life. The program must pass ir.VerifyProgram and use only
+// opcodes the machine implements, and every hook ID its OpHook sites name
+// must be bound in cfg.Hooks and in each lane's Hooks.
+func New(prog *ir.Program, cfg Config) (*Machine, error) {
 	cfg.fill()
 	var pf HWPrefetcher
 	if cfg.NewHWPrefetch != nil {
@@ -313,18 +303,16 @@ func New(prog *ir.Program, opts ...Option) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{
-		cfg:        cfg,
-		prog:       prog,
-		codes:      make(map[string]*code, len(prog.Funcs)),
-		Mem:        mem.NewMemory(),
-		hooks:      make(map[int64]HookFunc),
-		hooksDirty: true,
-		Hier:       cache.NewHierarchy(cfg.Hierarchy),
-		rng:        cfg.Seed,
-		noPf:       cfg.DisablePrefetch,
-		intr:       cfg.Interrupt,
-		pairs:      cfg.PairProfile,
-		pf:         pf,
+		cfg:   cfg,
+		prog:  prog,
+		codes: make(map[string]*code, len(prog.Funcs)),
+		Mem:   mem.NewMemory(),
+		Hier:  cache.NewHierarchy(cfg.Hierarchy),
+		rng:   cfg.Seed,
+		noPf:  cfg.DisablePrefetch,
+		intr:  cfg.Interrupt,
+		pairs: cfg.PairProfile,
+		pf:    pf,
 	}
 	if cfg.SelfCheck {
 		// Attach the shadows before any memory is touched (the heap and the
@@ -345,6 +333,9 @@ func New(prog *ir.Program, opts ...Option) (*Machine, error) {
 		}
 	}
 	m.attachLanes()
+	if err := m.bindHooks(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -427,33 +418,13 @@ func (m *Machine) decodeBody(f *ir.Function) error {
 	return nil
 }
 
-// Register installs hook fn under id. Registering id twice replaces the
-// hook (tests rely on this to stub runtimes). Registration takes effect at
-// the next Run, which resolves every OpHook site against the hook table.
-//
-// The next-Run boundary is a hard contract, pinned by a regression test: a
-// Register call made while a Run is in progress (for example from inside
-// another hook) has NO effect on the current run — not even for functions
-// the run has not yet entered. The step loop translates functions lazily on
-// first entry and copies the hook pointers resolveHooks bound before the run
-// started into its block cache, so a mid-run rebinding that took effect for
-// not-yet-translated code would make a site's hook depend on when its
-// function was first called. Deferring to the next Run keeps translation
-// sound: resolveHooks rebinds every site and invalidates every cached block
-// translation before the program restarts.
-func (m *Machine) Register(id int64, fn HookFunc) {
-	m.hooks[id] = fn
-	m.hooksDirty = true
-}
-
-// resolveHooks binds every OpHook site to its registered HookFunc — with
+// bindHooks binds every OpHook site to its HookFunc in Config.Hooks — with
 // lanes attached, to one that runs each lane's binding after the primary's
 // (see laneHook) — so the step loop skips the per-call map lookup. A hook
-// ID unregistered on the primary or unbound on a lane is reported up front
-// — naming the lane, hook, function and instruction — instead of faulting
-// mid-simulation. Functions are visited in sorted order so the error is
-// deterministic.
-func (m *Machine) resolveHooks() error {
+// ID unbound on the primary or on a lane fails New, naming the lane, hook,
+// function and block. Functions are visited in sorted order so the error
+// is deterministic.
+func (m *Machine) bindHooks() error {
 	names := make([]string, 0, len(m.codes))
 	for name := range m.codes {
 		names = append(names, name)
@@ -467,7 +438,7 @@ func (m *Machine) resolveHooks() error {
 				if d.op != ir.OpHook {
 					continue
 				}
-				fn := m.hooks[d.hookID]
+				fn := m.cfg.Hooks[d.hookID]
 				who := "machine"
 				for i := 0; fn != nil && i < len(m.lanes); i++ {
 					if m.lanes[i].hooks[d.hookID] == nil {
@@ -475,7 +446,7 @@ func (m *Machine) resolveHooks() error {
 					}
 				}
 				if fn == nil {
-					return fmt.Errorf("%s: hook %d not registered (instruction %d of %s/%s)",
+					return fmt.Errorf("%s: hook %d not bound (instruction %d of %s/%s)",
 						who, d.hookID, ii, name, c.blockNames[bi])
 				}
 				if m.lanes != nil {
@@ -485,13 +456,6 @@ func (m *Machine) resolveHooks() error {
 			}
 		}
 	}
-	// Rebinding orphans any cached block translations: they hold the hook
-	// pointers captured at translation time. Drop them so the step loop
-	// retranslates against the new bindings on first entry.
-	for _, name := range names {
-		m.codes[name].xb = nil
-	}
-	m.hooksDirty = false
 	return nil
 }
 
@@ -582,11 +546,7 @@ func (m *Machine) LoadCounts() map[LoadKey]uint64 {
 }
 
 // Run executes the program's entry function to completion and returns its
-// return value. Hooks referenced by the program must all be registered by
-// this point, on the primary with Register and on every lane through
-// Lane.Hooks: Run fails immediately — before simulating a single
-// instruction — if any OpHook site names a hook ID unbound on either, and
-// the error names the lane.
+// return value.
 //
 // Under Config.SelfCheck a shadow-model divergence aborts the run: the
 // models panic with a typed divergence value, which Run converts into the
@@ -603,11 +563,6 @@ func (m *Machine) Run() (ret int64, err error) {
 	entry := m.codes[m.prog.Main]
 	if entry == nil {
 		return 0, fmt.Errorf("machine: entry function %q missing", m.prog.Main)
-	}
-	if m.hooksDirty {
-		if err := m.resolveHooks(); err != nil {
-			return 0, err
-		}
 	}
 	m.pollMark = m.stats.Instrs >> 16
 	err = m.checked(func() (err error) {

@@ -62,7 +62,7 @@ func buildList(m *Machine, n int) int64 {
 
 func TestRunLinkedListSum(t *testing.T) {
 	p := sumProgram()
-	m, err := New(p)
+	m, err := New(p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestRunLinkedListSum(t *testing.T) {
 
 func TestLoadCountsPerStaticLoad(t *testing.T) {
 	p := sumProgram()
-	m, err := New(p)
+	m, err := New(p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestArithmetic(t *testing.T) {
 	p := ir.NewProgram()
 	p.Add(b.Finish())
 
-	m, err := New(p)
+	m, err := New(p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestDivisionByZeroYieldsZero(t *testing.T) {
 	b.Ret(b.Add(b.Div(a, z), b.Rem(a, z)))
 	p := ir.NewProgram()
 	p.Add(b.Finish())
-	m, _ := New(p)
+	m, _ := New(p, Config{})
 	got, err := m.Run()
 	if err != nil || got != 0 {
 		t.Errorf("div/rem by zero = %d (%v), want 0", got, err)
@@ -171,7 +171,7 @@ func TestPredicationSquashes(t *testing.T) {
 	b.Ret(dst)
 	p := ir.NewProgram()
 	p.Add(b.Finish())
-	m, _ := New(p)
+	m, _ := New(p, Config{})
 	got, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestCallAndReturn(t *testing.T) {
 	b.Ret(call.Dst)
 	p.Add(b.Finish())
 
-	m, err := New(p)
+	m, err := New(p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestRecursionDepthLimit(t *testing.T) {
 	c.Ret(ir.NoReg)
 	p.Add(c.Finish())
 
-	m, err := New(p, WithConfig(Config{MaxDepth: 10}))
+	m, err := New(p, Config{MaxDepth: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestStepLimit(t *testing.T) {
 	b.Br(loop)
 	p := ir.NewProgram()
 	p.Add(b.Finish())
-	m, _ := New(p, WithConfig(Config{MaxSteps: 1000}))
+	m, _ := New(p, Config{MaxSteps: 1000})
 	if _, err := m.Run(); !errors.Is(err, ErrMaxSteps) {
 		t.Errorf("err = %v, want ErrMaxSteps", err)
 	}
@@ -252,14 +252,14 @@ func TestHooksAndCycleCharging(t *testing.T) {
 	p := ir.NewProgram()
 	p.Add(b.Finish())
 
-	m, _ := New(p)
 	var gotArgs []int64
-	m.Register(42, func(mm *Machine, args []int64) {
+	m, err := New(p, Config{Hooks: map[int64]HookFunc{42: func(mm *Machine, args []int64) {
 		gotArgs = append([]int64(nil), args...)
 		mm.AddCycles(1000)
-	})
-	before := m.Stats().Cycles
-	_ = before
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -280,16 +280,15 @@ func TestUnregisteredHookFails(t *testing.T) {
 	b.Ret(ir.NoReg)
 	p := ir.NewProgram()
 	p.Add(b.Finish())
-	m, _ := New(p)
-	if _, err := m.Run(); err == nil {
-		t.Error("unregistered hook did not fail")
+	if _, err := New(p, Config{}); err == nil {
+		t.Error("unbound hook did not fail New")
 	}
 }
 
-// TestUnregisteredHookFailsUpfront checks that hook binding happens at Run
-// start, not at first execution: a hook on a branch that never runs still
-// fails, and the error names the hook ID and instruction site. Registering
-// the hook afterwards makes the same machine runnable.
+// TestUnregisteredHookFailsUpfront checks that hook binding happens in New,
+// not at first execution: a hook on a branch that never runs still fails,
+// and the error names the hook ID and instruction site. Binding the hook
+// makes the program runnable.
 func TestUnregisteredHookFailsUpfront(t *testing.T) {
 	b := ir.NewBuilder("main")
 	taken := b.Block("taken")
@@ -303,26 +302,22 @@ func TestUnregisteredHookFailsUpfront(t *testing.T) {
 	p := ir.NewProgram()
 	p.Add(b.Finish())
 
-	m, err := New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = m.Run()
+	_, err := New(p, Config{})
 	if err == nil {
-		t.Fatal("hook on dead path did not fail at Run start")
+		t.Fatal("hook on dead path did not fail New")
 	}
 	for _, want := range []string{"hook 42", "main", "dead"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
 	}
-	if got := m.Stats().Instrs; got != 0 {
-		t.Errorf("executed %d instructions before failing; want 0", got)
-	}
 
-	m.Register(42, func(_ *Machine, _ []int64) {})
+	m, err := New(p, Config{Hooks: map[int64]HookFunc{42: func(*Machine, []int64) {}}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := m.Run(); err != nil {
-		t.Errorf("run after registering hook: %v", err)
+		t.Errorf("run with the hook bound: %v", err)
 	}
 }
 
@@ -339,7 +334,7 @@ func TestUnknownOpcodeRejected(t *testing.T) {
 	if err := ir.VerifyProgram(p); err != nil {
 		t.Fatalf("verifier rejected the program: %v", err)
 	}
-	_, err := New(p)
+	_, err := New(p, Config{})
 	if err == nil || !strings.Contains(err.Error(), "unimplemented opcode") {
 		t.Fatalf("New err = %v, want an unimplemented-opcode error", err)
 	}
@@ -359,7 +354,7 @@ func TestAllocAndRand(t *testing.T) {
 	p := ir.NewProgram()
 	p.Add(b.Finish())
 
-	m, _ := New(p)
+	m, _ := New(p, Config{})
 	got, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -380,14 +375,14 @@ func TestRandDeterministicAcrossMachines(t *testing.T) {
 		p.Add(b.Finish())
 		return p
 	}
-	m1, _ := New(build(), WithConfig(Config{Seed: 7}))
-	m2, _ := New(build(), WithConfig(Config{Seed: 7}))
+	m1, _ := New(build(), Config{Seed: 7})
+	m2, _ := New(build(), Config{Seed: 7})
 	v1, _ := m1.Run()
 	v2, _ := m2.Run()
 	if v1 != v2 {
 		t.Errorf("same seed produced %d vs %d", v1, v2)
 	}
-	m3, _ := New(build(), WithConfig(Config{Seed: 8}))
+	m3, _ := New(build(), Config{Seed: 8})
 	v3, _ := m3.Run()
 	if v1 == v3 {
 		t.Error("different seeds produced identical streams (suspicious)")
@@ -429,7 +424,7 @@ func TestPrefetchReducesCycles(t *testing.T) {
 		return prog
 	}
 	runCycles := func(withPrefetch bool) uint64 {
-		m, err := New(build(withPrefetch))
+		m, err := New(build(withPrefetch), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,7 +459,7 @@ func TestInterrupt(t *testing.T) {
 	// A closed channel aborts the run at the next poll point.
 	ch := make(chan struct{})
 	close(ch)
-	m, err := New(build(), WithInterrupt(ch))
+	m, err := New(build(), Config{Interrupt: ch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +469,7 @@ func TestInterrupt(t *testing.T) {
 
 	// Closing mid-run stops the (otherwise step-limited) loop early.
 	ch2 := make(chan struct{})
-	m2, err := New(build(), WithMaxSteps(1<<40), WithInterrupt(ch2))
+	m2, err := New(build(), Config{MaxSteps: 1 << 40, Interrupt: ch2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +484,7 @@ func TestInterrupt(t *testing.T) {
 	}
 
 	// A nil channel (the default) changes nothing.
-	m3, _ := New(build(), WithMaxSteps(1000))
+	m3, _ := New(build(), Config{MaxSteps: 1000})
 	if _, err := m3.Run(); !errors.Is(err, ErrMaxSteps) {
 		t.Errorf("nil-interrupt err = %v, want ErrMaxSteps", err)
 	}

@@ -20,11 +20,11 @@ type PairCount struct {
 // PairProfile records the dynamic frequency of adjacent opcode pairs
 // executed within basic blocks. It is the measurement pass that proposes
 // superinstruction candidates for the fused translation: run the workloads
-// once with WithPairProfile (which executes the exact translation) and rank
-// the pairs (cmd/interpbench -pairs automates the sweep). A frequent pair
-// is only a candidate: a fusion rule belongs in bbcache.go when counting
-// the xinstrs the workloads' translations form and dispatch shows that
-// they form it (DESIGN.md §7 records both measurements).
+// once with Config.PairProfile set (which executes the exact translation)
+// and rank the pairs (cmd/interpbench -pairs automates the sweep). A
+// frequent pair is only a candidate: a fusion rule belongs in bbcache.go
+// when counting the xinstrs the workloads' translations form and dispatch
+// shows that they form it (DESIGN.md §7 records both measurements).
 //
 // Pairs are intra-block only — a block's first instruction opens a fresh
 // chain — because superinstructions cannot fuse across a control transfer.

@@ -31,7 +31,7 @@ func FuzzCompile(f *testing.F) {
 		if verr := ir.VerifyProgram(prog); verr != nil {
 			t.Fatalf("accepted program fails verification: %v\nsource: %q", verr, src)
 		}
-		m, merr := machine.New(prog, machine.WithMaxSteps(200_000))
+		m, merr := machine.New(prog, machine.Config{MaxSteps: 200_000})
 		if merr != nil {
 			t.Fatalf("machine rejected verified program: %v", merr)
 		}

@@ -16,7 +16,7 @@ func run(t *testing.T, src string) int64 {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	m, err := machine.New(prog, machine.WithMaxSteps(50_000_000))
+	m, err := machine.New(prog, machine.Config{MaxSteps: 50_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestExampleProgramsCompileAndRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		m, err := machine.New(prog, machine.WithMaxSteps(100_000_000))
+		m, err := machine.New(prog, machine.Config{MaxSteps: 100_000_000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,7 +386,7 @@ func TestIndirectExampleProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := machine.New(prog, machine.WithMaxSteps(100_000_000))
+	m, err := machine.New(prog, machine.Config{MaxSteps: 100_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}

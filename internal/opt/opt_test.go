@@ -12,7 +12,7 @@ import (
 
 func runProg(t *testing.T, prog *ir.Program) (int64, uint64) {
 	t.Helper()
-	m, err := machine.New(prog, machine.WithMaxSteps(50_000_000))
+	m, err := machine.New(prog, machine.Config{MaxSteps: 50_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestPassDisabling(t *testing.T) {
 
 func runSafely(t *testing.T, prog *ir.Program) (int64, uint64, error) {
 	t.Helper()
-	m, err := machine.New(prog, machine.WithMaxSteps(50_000_000))
+	m, err := machine.New(prog, machine.Config{MaxSteps: 50_000_000})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -375,7 +375,7 @@ func TestFoldsMatchMachine(t *testing.T) {
 		bl.Ret(ir.NoReg)
 		prog := ir.NewProgram()
 		prog.Add(bl.Finish())
-		m, err := machine.New(prog)
+		m, err := machine.New(prog, machine.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

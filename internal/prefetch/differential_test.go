@@ -29,12 +29,13 @@ func TestDifferentialPrefetch(t *testing.T) {
 	}
 
 	run := func(prog *ir.Program, res *instrument.Result) (int64, bool) {
-		m, err := machine.New(prog, machine.WithMaxSteps(50_000_000))
+		cfg := machine.Config{MaxSteps: 50_000_000}
+		if res != nil {
+			cfg.Hooks = res.Hooks()
+		}
+		m, err := machine.New(prog, cfg)
 		if err != nil {
 			return 0, false
-		}
-		if res != nil && res.Runtime != nil {
-			res.Runtime.Register(m)
 		}
 		v, err := m.Run()
 		if err != nil {
@@ -55,11 +56,10 @@ func TestDifferentialPrefetch(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		m, err := machine.New(inst.Prog, machine.WithMaxSteps(50_000_000))
+		m, err := machine.New(inst.Prog, machine.Config{MaxSteps: 50_000_000, Hooks: inst.Hooks()})
 		if err != nil {
 			return false
 		}
-		inst.Runtime.Register(m)
 		if _, err := m.Run(); err != nil {
 			return false
 		}

@@ -96,11 +96,10 @@ func runPointerTable(t *testing.T, opts Options) (uint64, uint64, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := machine.New(inst.Prog)
+	m, err := machine.New(inst.Prog, machine.Config{Hooks: inst.Hooks()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst.Runtime.Register(m)
 	setupPointerTable(m, 6000)
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -116,7 +115,7 @@ func runPointerTable(t *testing.T, opts Options) (uint64, uint64, *Result) {
 	}
 
 	run := func(p *ir.Program) uint64 {
-		mm, err := machine.New(p)
+		mm, err := machine.New(p, machine.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,13 +84,15 @@ func Merge(profiles ...*Combined) (*Combined, error) {
 // could lift it back above the bound.
 const maxMergedStrides = lfu.DefaultFinalSize
 
-// mergeSummaries combines two stride summaries of the same load.
-func mergeSummaries(a, b stride.Summary) stride.Summary {
+// mergeTops combines two top-stride lists: frequencies summed per stride,
+// ranked by frequency (ties by stride) and cut at maxMergedStrides. The
+// result is non-nil even when both lists are empty.
+func mergeTops(a, b []lfu.Entry) []lfu.Entry {
 	byValue := make(map[int64]int64)
-	for _, e := range a.TopStrides {
+	for _, e := range a {
 		byValue[e.Value] += e.Freq
 	}
-	for _, e := range b.TopStrides {
+	for _, e := range b {
 		byValue[e.Value] += e.Freq
 	}
 	tops := make([]lfu.Entry, 0, len(byValue))
@@ -106,7 +108,11 @@ func mergeSummaries(a, b stride.Summary) stride.Summary {
 	if len(tops) > maxMergedStrides {
 		tops = tops[:maxMergedStrides]
 	}
+	return tops
+}
 
+// mergeSummaries combines two stride summaries of the same load.
+func mergeSummaries(a, b stride.Summary) stride.Summary {
 	total := a.TotalStrides + b.TotalStrides
 	var dist float64
 	if total > 0 {
@@ -119,7 +125,7 @@ func mergeSummaries(a, b stride.Summary) stride.Summary {
 	}
 	return stride.Summary{
 		Key:            a.Key,
-		TopStrides:     tops,
+		TopStrides:     mergeTops(a.TopStrides, b.TopStrides),
 		TotalStrides:   total,
 		ZeroStrides:    a.ZeroStrides + b.ZeroStrides,
 		ZeroDiffs:      a.ZeroDiffs + b.ZeroDiffs,
@@ -158,29 +164,9 @@ func mergePaths(a, b []stride.PathSummary) []stride.PathSummary {
 }
 
 func mergePathSummaries(a, b stride.PathSummary) stride.PathSummary {
-	byValue := make(map[int64]int64)
-	for _, e := range a.TopStrides {
-		byValue[e.Value] += e.Freq
-	}
-	for _, e := range b.TopStrides {
-		byValue[e.Value] += e.Freq
-	}
-	tops := make([]lfu.Entry, 0, len(byValue))
-	for v, f := range byValue {
-		tops = append(tops, lfu.Entry{Value: v, Freq: f})
-	}
-	sort.Slice(tops, func(i, j int) bool {
-		if tops[i].Freq != tops[j].Freq {
-			return tops[i].Freq > tops[j].Freq
-		}
-		return tops[i].Value < tops[j].Value
-	})
-	if len(tops) > maxMergedStrides {
-		tops = tops[:maxMergedStrides]
-	}
 	return stride.PathSummary{
 		ID:           a.ID,
-		TopStrides:   tops,
+		TopStrides:   mergeTops(a.TopStrides, b.TopStrides),
 		TotalStrides: a.TotalStrides + b.TotalStrides,
 		ZeroStrides:  a.ZeroStrides + b.ZeroStrides,
 		ZeroDiffs:    a.ZeroDiffs + b.ZeroDiffs,

@@ -137,29 +137,21 @@ func Decay(c *Combined, alpha float64) *Combined {
 		for _, s := range c.Stride.Summaries() {
 			d := stride.Summary{
 				Key:            s.Key,
+				TopStrides:     decayTops(s.TopStrides, scaleI),
 				TotalStrides:   scaleI(s.TotalStrides),
 				ZeroStrides:    scaleI(s.ZeroStrides),
 				ZeroDiffs:      scaleI(s.ZeroDiffs),
 				FineInterval:   s.FineInterval,
 				AvgRefDistance: s.AvgRefDistance,
 			}
-			for _, e := range s.TopStrides {
-				if f := scaleI(e.Freq); f > 0 {
-					d.TopStrides = append(d.TopStrides, lfu.Entry{Value: e.Value, Freq: f})
-				}
-			}
 			for _, p := range s.Paths {
 				dp := stride.PathSummary{
 					ID:           p.ID,
+					TopStrides:   decayTops(p.TopStrides, scaleI),
 					TotalStrides: scaleI(p.TotalStrides),
 					ZeroStrides:  scaleI(p.ZeroStrides),
 					ZeroDiffs:    scaleI(p.ZeroDiffs),
 					Processed:    scaleI(p.Processed),
-				}
-				for _, e := range p.TopStrides {
-					if f := scaleI(e.Freq); f > 0 {
-						dp.TopStrides = append(dp.TopStrides, lfu.Entry{Value: e.Value, Freq: f})
-					}
 				}
 				if dp.TotalStrides == 0 && len(dp.TopStrides) == 0 && dp.Processed == 0 {
 					continue
@@ -172,6 +164,18 @@ func Decay(c *Combined, alpha float64) *Combined {
 			sums = append(sums, d)
 		}
 		out.Stride = NewStrideProfile(sums)
+	}
+	return out
+}
+
+// decayTops scales each top-stride frequency with scale and drops the
+// entries that reach zero; it returns nil when none survives.
+func decayTops(tops []lfu.Entry, scale func(int64) int64) []lfu.Entry {
+	var out []lfu.Entry
+	for _, e := range tops {
+		if f := scale(e.Freq); f > 0 {
+			out = append(out, lfu.Entry{Value: e.Value, Freq: f})
+		}
 	}
 	return out
 }

@@ -14,13 +14,16 @@ import (
 	"stridepf/internal/stride"
 )
 
-// exactTranslation selects the machine's exact translation (one source
-// instruction per dispatch) through a throwaway pair profile.
-func exactTranslation() machine.Option { return machine.WithPairProfile(machine.NewPairProfile()) }
+// exact returns cfg set to select the machine's exact translation (one
+// source instruction per dispatch) through a throwaway pair profile.
+func exact(cfg machine.Config) machine.Config {
+	cfg.PairProfile = machine.NewPairProfile()
+	return cfg
+}
 
 // CheckFusedDifferential generates a program from (seed, cfg) and executes
 // it through the machine's fused translation and through its exact
-// translation (selected with WithPairProfile). The fused translation —
+// translation (selected with Config.PairProfile). The fused translation —
 // compare+branch fusion, ALU groups ending in their block's branch,
 // constant folding — must be observably identical: same result, same
 // statistics (including exact instruction and cycle counts), same final
@@ -56,17 +59,15 @@ func CheckFusedDifferential(seed uint64, cfg irgen.Config) error {
 
 	// Instrumented: each side gets its own runtime so the profiles are
 	// independently collected, then compared.
-	runInstr := func(opts ...machine.Option) (runResult, []stride.Summary, error) {
+	runInstr := func(cfg machine.Config) (runResult, []stride.Summary, error) {
 		res, err := instrument.Instrument(prog, instrument.Options{Method: instrument.NaiveAll})
 		if err != nil {
 			return runResult{}, nil, fmt.Errorf("instrument: %w", err)
 		}
-		m, err := machine.New(res.Prog, opts...)
+		cfg.Hooks = res.Hooks()
+		m, err := machine.New(res.Prog, cfg)
 		if err != nil {
 			return runResult{}, nil, err
-		}
-		if res.Runtime != nil {
-			res.Runtime.Register(m)
 		}
 		ret, err := m.Run()
 		if err != nil {
@@ -79,11 +80,11 @@ func CheckFusedDifferential(seed uint64, cfg irgen.Config) error {
 			LoadCounts:  m.LoadCounts(),
 		}, res.StrideSummaries(), nil
 	}
-	ifused, pfused, err := runInstr()
+	ifused, pfused, err := runInstr(machine.Config{})
 	if err != nil {
 		return fmt.Errorf("fused instrumented run: %w", err)
 	}
-	iref, pref, err := runInstr(exactTranslation())
+	iref, pref, err := runInstr(exact(machine.Config{}))
 	if err != nil {
 		return fmt.Errorf("exact instrumented run: %w", err)
 	}
@@ -100,11 +101,11 @@ func CheckFusedDifferential(seed uint64, cfg irgen.Config) error {
 // fusedMatchesExact runs the clean, observed and budget comparisons of
 // CheckFusedDifferential on prog, labelling failures with name.
 func fusedMatchesExact(name string, prog *ir.Program, seed uint64) error {
-	fused, err := runProg(prog)
+	fused, err := runProg(prog, machine.Config{})
 	if err != nil {
 		return fmt.Errorf("%s: fused run: %w", name, err)
 	}
-	ref, err := runProg(prog, exactTranslation())
+	ref, err := runProg(prog, exact(machine.Config{}))
 	if err != nil {
 		return fmt.Errorf("%s: exact run: %w", name, err)
 	}
@@ -114,11 +115,11 @@ func fusedMatchesExact(name string, prog *ir.Program, seed uint64) error {
 
 	schemes := hwpf.Schemes()
 	scheme, laneScheme := schemes[seed%uint64(len(schemes))], schemes[(seed+1)%uint64(len(schemes))]
-	ofused, err := runObserved(prog, scheme, laneScheme)
+	ofused, err := runObserved(prog, scheme, laneScheme, machine.Config{})
 	if err != nil {
 		return fmt.Errorf("%s: fused observed run: %w", name, err)
 	}
-	oref, err := runObserved(prog, scheme, laneScheme, exactTranslation())
+	oref, err := runObserved(prog, scheme, laneScheme, exact(machine.Config{}))
 	if err != nil {
 		return fmt.Errorf("%s: exact observed run: %w", name, err)
 	}
@@ -134,8 +135,8 @@ func fusedMatchesExact(name string, prog *ir.Program, seed uint64) error {
 
 	if n := fused.Stats.Instrs; n > 1 {
 		budget := 1 + (seed*0x9E3779B97F4A7C15>>1)%(n-1)
-		bfused, ferr := runProg(prog, machine.WithMaxSteps(budget))
-		bref, rerr := runProg(prog, machine.WithMaxSteps(budget), exactTranslation())
+		bfused, ferr := runProg(prog, machine.Config{MaxSteps: budget})
+		bref, rerr := runProg(prog, exact(machine.Config{MaxSteps: budget}))
 		if !errors.Is(ferr, machine.ErrMaxSteps) || !errors.Is(rerr, machine.ErrMaxSteps) {
 			return fmt.Errorf("%s: budget %d of %d instructions: fused err=%v, exact err=%v, want ErrMaxSteps",
 				name, budget, n, ferr, rerr)
@@ -191,15 +192,14 @@ type observedRun struct {
 	accounts [2]laneRun
 }
 
-// runObserved executes prog with scheme on the default hierarchy as the
-// primary memory system and laneScheme on the small lane hierarchy as its
-// one lane, each with its own collector, closed and reconciled.
-func runObserved(prog *ir.Program, scheme, laneScheme string, opts ...machine.Option) (observedRun, error) {
+// runObserved executes prog under cfg with scheme on the default hierarchy
+// as the primary memory system and laneScheme on the small lane hierarchy
+// as its one lane, each with its own collector, closed and reconciled.
+func runObserved(prog *ir.Program, scheme, laneScheme string, cfg machine.Config) (observedRun, error) {
 	pcol, lcol := obs.NewCollector(nil), obs.NewCollector(nil)
-	lane := machine.Lane{Hierarchy: laneHierarchies()[1], NewHWPrefetch: schemeFactory(laneScheme), Obs: lcol}
-	opts = append([]machine.Option{machine.WithHWPrefetchFactory(schemeFactory(scheme)),
-		machine.WithObs(pcol), machine.WithLanes(lane)}, opts...)
-	m, err := machine.New(prog, opts...)
+	cfg.NewHWPrefetch, cfg.Obs = schemeFactory(scheme), pcol
+	cfg.Lanes = []machine.Lane{{Hierarchy: laneHierarchies()[1], NewHWPrefetch: schemeFactory(laneScheme), Obs: lcol}}
+	m, err := machine.New(prog, cfg)
 	if err != nil {
 		return observedRun{}, err
 	}

@@ -21,13 +21,13 @@ import (
 //     issuing prefetches, only cycle counts may change — results, final
 //     memory image, instruction counts and per-load reference counts must
 //     all match the baseline (the prefetch-neutrality oracle, reused).
-//     Composing the scheme with the shadow models (WithSelfCheck) must
+//     Composing the scheme with the shadow models (Config.SelfCheck) must
 //     stay divergence-free and change nothing at all relative to the
 //     enabled run.
 func CheckHWPFNeutrality(seed uint64, cfg irgen.Config) error {
 	prog := irgen.Generate(seed, cfg)
 
-	base, err := runProg(prog)
+	base, err := runProg(prog, machine.Config{})
 	if err != nil {
 		return fmt.Errorf("baseline run: %w", err)
 	}
@@ -38,7 +38,7 @@ func CheckHWPFNeutrality(seed uint64, cfg irgen.Config) error {
 		if err != nil {
 			return err
 		}
-		offRun, err := runProg(prog, machine.WithHWPrefetchFactory(func() machine.HWPrefetcher { return silenced{off} }))
+		offRun, err := runProg(prog, machine.Config{NewHWPrefetch: func() machine.HWPrefetcher { return silenced{off} }})
 		if err != nil {
 			return fmt.Errorf("%s silenced run: %w", scheme, err)
 		}
@@ -51,7 +51,7 @@ func CheckHWPFNeutrality(seed uint64, cfg irgen.Config) error {
 		if err != nil {
 			return err
 		}
-		onRun, err := runProg(prog, machine.WithHWPrefetchFactory(func() machine.HWPrefetcher { return on }))
+		onRun, err := runProg(prog, machine.Config{NewHWPrefetch: func() machine.HWPrefetcher { return on }})
 		if err != nil {
 			return fmt.Errorf("%s enabled run: %w", scheme, err)
 		}
@@ -84,7 +84,7 @@ func CheckHWPFNeutrality(seed uint64, cfg irgen.Config) error {
 		if err != nil {
 			return err
 		}
-		chkRun, err := runProg(prog, machine.WithHWPrefetchFactory(func() machine.HWPrefetcher { return chk }), machine.WithSelfCheck())
+		chkRun, err := runProg(prog, machine.Config{NewHWPrefetch: func() machine.HWPrefetcher { return chk }, SelfCheck: true})
 		if err != nil {
 			return fmt.Errorf("%s self-checked run: %w", scheme, err)
 		}

@@ -178,8 +178,7 @@ func checkMemoryLanes(name string, prog *ir.Program) error {
 	want := make([]laneRun, len(cfgs))
 	for i, c := range cfgs {
 		col := obs.NewCollector(nil)
-		m, err := machine.New(prog, machine.WithHierarchy(c.hier),
-			machine.WithHWPrefetchFactory(recording(c.scheme)), machine.WithObs(col))
+		m, err := machine.New(prog, machine.Config{Hierarchy: c.hier, NewHWPrefetch: recording(c.scheme), Obs: col})
 		if err != nil {
 			return err
 		}
@@ -203,11 +202,7 @@ func checkMemoryLanes(name string, prog *ir.Program) error {
 			lanes = append(lanes, machine.Lane{Hierarchy: c.hier,
 				NewHWPrefetch: recording(c.scheme), Obs: obs.NewCollector(nil)})
 		}
-		opts := []machine.Option{machine.WithHierarchy(cfgs[0].hier), machine.WithObs(pcol), machine.WithLanes(lanes...)}
-		if checked {
-			opts = append(opts, machine.WithSelfCheck())
-		}
-		m, err := machine.New(prog, opts...)
+		m, err := machine.New(prog, machine.Config{Hierarchy: cfgs[0].hier, Obs: pcol, Lanes: lanes, SelfCheck: checked})
 		if err != nil {
 			return err
 		}
@@ -333,8 +328,7 @@ func checkHookedLanes(seed uint64, prog, walk *ir.Program) error {
 
 // checkLaneSharing builds the lane machine ProfilePass would and checks
 // that the lanes share the primary's hierarchy exactly when shared is
-// set, and that a lane with an unbound hook fails Run before the first
-// instruction.
+// set, and that a lane with an unbound hook fails New.
 func checkLaneSharing(w progWorkload, opts []instrument.Options, scheme string, shared bool) error {
 	res, err := instrument.Instrument(w.prog, opts[0])
 	if err != nil {
@@ -346,10 +340,10 @@ func checkLaneSharing(w progWorkload, opts []instrument.Options, scheme string, 
 		if err != nil {
 			return fmt.Errorf("instrument: %w", err)
 		}
-		lanes = append(lanes, machine.Lane{NewHWPrefetch: schemeFactory(scheme),
-			Hooks: map[int64]machine.HookFunc{stride.HookID: tres.Runtime.Hook()}})
+		lanes = append(lanes, machine.Lane{NewHWPrefetch: schemeFactory(scheme), Hooks: tres.Hooks()})
 	}
-	m, err := machine.New(res.Prog, machine.WithHWPrefetchFactory(schemeFactory(scheme)), machine.WithLanes(lanes...))
+	cfg := machine.Config{NewHWPrefetch: schemeFactory(scheme), Lanes: lanes, Hooks: res.Hooks()}
+	m, err := machine.New(res.Prog, cfg)
 	if err != nil {
 		return err
 	}
@@ -363,18 +357,10 @@ func checkLaneSharing(w progWorkload, opts []instrument.Options, scheme string, 
 		return nil
 	}
 	lanes[len(lanes)-1].Hooks = nil
-	m, err = machine.New(res.Prog, machine.WithHWPrefetchFactory(schemeFactory(scheme)), machine.WithLanes(lanes...))
-	if err != nil {
-		return err
-	}
-	res.Runtime.Register(m)
-	_, err = m.Run()
+	_, err = machine.New(res.Prog, cfg)
 	want := fmt.Sprintf("lane %d:", len(lanes)-1)
 	if err == nil || !strings.Contains(err.Error(), want) {
-		return fmt.Errorf("a lane with an unbound hook: Run error %v, want one naming %q", err, want)
-	}
-	if m.Stats().Instrs != 0 {
-		return fmt.Errorf("a lane with an unbound hook ran %d instructions before failing", m.Stats().Instrs)
+		return fmt.Errorf("a lane with an unbound hook: New error %v, want one naming %q", err, want)
 	}
 	return nil
 }

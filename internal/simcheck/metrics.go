@@ -19,7 +19,7 @@ import (
 func CheckMetricsNeutrality(seed uint64, cfg irgen.Config) error {
 	prog := irgen.Generate(seed, cfg)
 
-	base, err := runProg(prog)
+	base, err := runProg(prog, machine.Config{})
 	if err != nil {
 		return fmt.Errorf("baseline run: %w", err)
 	}
@@ -28,7 +28,7 @@ func CheckMetricsNeutrality(seed uint64, cfg irgen.Config) error {
 	// observability accounting must be closed with FinishObs before the
 	// collector can reconcile.
 	col := obs.NewCollector(nil)
-	m, err := machine.New(prog, machine.WithObs(col))
+	m, err := machine.New(prog, machine.Config{Obs: col})
 	if err != nil {
 		return err
 	}
@@ -66,7 +66,7 @@ func CheckMetricsNeutrality(seed uint64, cfg irgen.Config) error {
 	// The collector and the shadow models must compose: a self-checked run
 	// with observation enabled must stay divergence-free and observably
 	// identical to the baseline.
-	checked, err := runProg(prog, machine.WithObs(obs.NewCollector(nil)), machine.WithSelfCheck())
+	checked, err := runProg(prog, machine.Config{Obs: obs.NewCollector(nil), SelfCheck: true})
 	if err != nil {
 		return fmt.Errorf("self-checked metrics run: %w", err)
 	}

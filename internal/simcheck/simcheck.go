@@ -51,10 +51,10 @@ type runResult struct {
 }
 
 // runProg executes prog (which must define a parameterless main) under
-// opts. When Run fails the result still describes the machine as the run
+// cfg. When Run fails the result still describes the machine as the run
 // left it, so differential checks can compare aborted runs too.
-func runProg(prog *ir.Program, opts ...machine.Option) (runResult, error) {
-	m, err := machine.New(prog, opts...)
+func runProg(prog *ir.Program, cfg machine.Config) (runResult, error) {
+	m, err := machine.New(prog, cfg)
 	if err != nil {
 		return runResult{}, err
 	}
@@ -75,11 +75,11 @@ func runProg(prog *ir.Program, opts ...machine.Option) (runResult, error) {
 func CheckShadowLockstep(seed uint64, cfg irgen.Config) error {
 	prog := irgen.Generate(seed, cfg)
 
-	base, err := runProg(prog)
+	base, err := runProg(prog, machine.Config{})
 	if err != nil {
 		return fmt.Errorf("baseline run: %w", err)
 	}
-	checked, err := runProg(prog, machine.WithSelfCheck())
+	checked, err := runProg(prog, machine.Config{SelfCheck: true})
 	if err != nil {
 		return fmt.Errorf("self-checked run: %w", err)
 	}
@@ -100,12 +100,9 @@ func CheckShadowLockstep(seed uint64, cfg irgen.Config) error {
 	if err != nil {
 		return fmt.Errorf("instrument: %w", err)
 	}
-	m, err := machine.New(res.Prog, machine.WithSelfCheck())
+	m, err := machine.New(res.Prog, machine.Config{SelfCheck: true, Hooks: res.Hooks()})
 	if err != nil {
 		return err
-	}
-	if res.Runtime != nil {
-		res.Runtime.Register(m)
 	}
 	ret, err := m.Run()
 	if err != nil {
@@ -124,11 +121,11 @@ func CheckShadowLockstep(seed uint64, cfg irgen.Config) error {
 func CheckPrefetchNeutrality(seed uint64, cfg irgen.Config) error {
 	prog := irgen.Generate(seed, cfg)
 
-	on, err := runProg(prog)
+	on, err := runProg(prog, machine.Config{})
 	if err != nil {
 		return fmt.Errorf("prefetch-on run: %w", err)
 	}
-	off, err := runProg(prog, machine.WithDisablePrefetch())
+	off, err := runProg(prog, machine.Config{DisablePrefetch: true})
 	if err != nil {
 		return fmt.Errorf("prefetch-off run: %w", err)
 	}

@@ -212,20 +212,17 @@ func (rt *Runtime) Data(key machine.LoadKey) *ProfData {
 // Records returns all records in allocation order.
 func (rt *Runtime) Records() []*ProfData { return rt.data }
 
-// Register installs the runtime's hook on m under HookID. Instrumented code
-// invokes it as hook(HookID, dataIndex, address) — or, in paths mode, as
+// Hooks returns the runtime's binding for machine.Config.Hooks or
+// machine.Lane.Hooks, where it charges the lane's clock: its strideProf
+// routine under HookID. Instrumented code invokes it as
+// hook(HookID, dataIndex, address) — or, in paths mode, as
 // hook(HookID, dataIndex, address, pathID).
-func (rt *Runtime) Register(m *machine.Machine) { m.Register(HookID, rt.Hook()) }
-
-// Hook returns the runtime's strideProf routine as a machine hook, for
-// binding under HookID: on the primary with Register, or on a
-// machine.Lane, where it charges the lane's clock.
-func (rt *Runtime) Hook() machine.HookFunc {
+func (rt *Runtime) Hooks() map[int64]machine.HookFunc {
 	want := 2
 	if rt.cfg.Paths {
 		want = 3
 	}
-	return func(mm *machine.Machine, args []int64) {
+	return map[int64]machine.HookFunc{HookID: func(mm *machine.Machine, args []int64) {
 		if len(args) != want {
 			rt.MalformedCalls++
 			mm.Obs().Emit(obs.TraceEvent{
@@ -264,7 +261,7 @@ func (rt *Runtime) Hook() machine.HookFunc {
 			cost = rt.Profile(pd, args[1])
 		}
 		mm.AddCycles(cost)
-	}
+	}}
 }
 
 // RecordRefDistance notes that the load is being referenced when the

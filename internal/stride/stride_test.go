@@ -282,11 +282,10 @@ func TestRegisterHookOnMachine(t *testing.T) {
 	idx := rt.AddLoad(machine.LoadKey{Func: "main", ID: 999})
 
 	prog := buildHookLoop(int64(idx))
-	m, err := machine.New(prog)
+	m, err := machine.New(prog, machine.Config{Hooks: rt.Hooks()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.Register(m)
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -368,11 +367,10 @@ func TestHookMisuseCounted(t *testing.T) {
 
 	// Malformed: wrong arg count. Out of range: index past the table.
 	prog := buildMisuseProg(99)
-	m, err := machine.New(prog)
+	m, err := machine.New(prog, machine.Config{Hooks: rt.Hooks()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.Register(m)
 	if _, err := m.Run(); err != nil {
 		t.Fatalf("unchecked run must not fail on hook misuse: %v", err)
 	}
@@ -388,11 +386,10 @@ func TestHookMisuseFaultsUnderSelfCheck(t *testing.T) {
 	rt := NewRuntime(Config{})
 	rt.AddLoad(key(1))
 	prog := buildMisuseProg(99)
-	m, err := machine.New(prog, machine.WithSelfCheck())
+	m, err := machine.New(prog, machine.Config{SelfCheck: true, Hooks: rt.Hooks()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.Register(m)
 	if _, err := m.Run(); err == nil {
 		t.Fatal("self-checked run swallowed hook misuse, want error")
 	}
