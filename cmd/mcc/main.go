@@ -104,8 +104,8 @@ func (mcWorkload) Ref() core.Input                    { return core.Input{} }
 // runPGO performs instrument -> profile -> feedback -> measure on a
 // self-contained program.
 func runPGO(prog *ir.Program, method string, indirect bool, out io.Writer) error {
-	m, _ := instrument.ParseMethod(method)
-	if m != instrument.EdgeCheck && m != instrument.NaiveLoop && m != instrument.NaiveAll {
+	m, ok := instrument.ParseMethod(method)
+	if !ok || m != instrument.EdgeCheck && m != instrument.NaiveLoop && m != instrument.NaiveAll {
 		return fmt.Errorf("unknown method %q", method)
 	}
 	w := mcWorkload{prog}

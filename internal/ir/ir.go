@@ -126,9 +126,9 @@ const (
 	// OpRet returns from the current function with the value of Src[0] (or 0
 	// if Src[0] is NoReg). Terminator.
 	OpRet
-	// OpHook invokes a registered runtime hook (see machine.Machine.Register)
-	// identified by Imm, passing the values of Args. Instrumentation uses
-	// hooks to call the stride-profiling runtime.
+	// OpHook invokes the runtime hook bound under Imm (see
+	// machine.Config.Hooks), passing the values of Args. Instrumentation
+	// uses hooks to call the stride-profiling runtime.
 	OpHook
 )
 

@@ -174,7 +174,7 @@ type Runtime struct {
 	// Both mark instrumentation bugs: the profile is silently incomplete.
 	// They used to be swallowed without a trace; now they are counted
 	// always, and under machine.Config.SelfCheck the first one also faults
-	// the run (see Register).
+	// the run (see Hooks).
 	MalformedCalls  int64
 	OutOfRangeCalls int64
 }
